@@ -1,17 +1,21 @@
 // bench_recovery — recovery time versus log size, with and without
 // checkpoints.
 //
-// For each record count the bench builds a database twice: once as a
-// pure WAL (checkpoint_bytes = 0, so Open() replays every record) and
-// once with auto-checkpointing (replay is bounded by the records since
-// the last checkpoint; the snapshot carries the rest). It then measures
-// cold Open() time (best of three) and reports what recovery did.
+// For each record count the bench writes a durable store twice, through
+// batched group commits: once as a pure WAL (checkpoint_bytes = 0, so
+// recovery replays every record) and once with auto-checkpointing
+// (replay is bounded by the records since the last checkpoint; the
+// snapshot carries the rest). It then measures cold LooseDb::Recover()
+// time (best of three) — the snapshot load plus log replay that
+// SharedStore::OpenDurable runs before it opens the log — and reports
+// what recovery did.
 //
-// Not a google-benchmark suite: each measurement is one cold Open()
+// Not a google-benchmark suite: each measurement is one cold recovery
 // against files just written, and the interesting output is the
 // recovery-stats breakdown next to the timing, not iteration throughput.
 //
 //   bench_recovery [--records 1000,4000,16000] [--json FILE]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -20,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "core/loose_db.h"
+#include "server/shared_store.h"
 
 namespace {
 
@@ -30,7 +34,7 @@ using Clock = std::chrono::steady_clock;
 struct RunResult {
   size_t records = 0;
   bool checkpoints = false;
-  double open_ms = 0;
+  double recover_ms = 0;
   uint64_t wal_bytes = 0;
   uint64_t snapshot_bytes = 0;
   size_t records_replayed = 0;
@@ -38,19 +42,35 @@ struct RunResult {
   bool snapshot_loaded = false;
 };
 
-lsd::LooseDbOptions Options(bool checkpoints) {
-  lsd::LooseDbOptions options;
-  options.wal_segment_bytes = 1ull << 20;
-  options.checkpoint_bytes = checkpoints ? 64ull << 10 : 0;
-  return options;
+lsd::SharedStoreDurability Durability(bool checkpoints) {
+  lsd::SharedStoreDurability durability;
+  durability.sync = lsd::WalSync::kFlush;
+  durability.segment_bytes = 1ull << 20;
+  durability.checkpoint_bytes = checkpoints ? 64ull << 10 : 0;
+  return durability;
 }
+
+// Facts per commit group: one WAL append each, and a checkpoint check
+// after every group.
+constexpr size_t kBatch = 256;
 
 // Synthetic unique facts: ~30 bytes of WAL record each, a fresh entity
 // pair per fact so replay exercises interning too.
-void Fill(lsd::LooseDb& db, size_t records) {
-  for (size_t i = 0; i < records; ++i) {
-    db.Assert("E-" + std::to_string(i), "REL-" + std::to_string(i % 16),
-              "V-" + std::to_string(i));
+void Fill(lsd::SharedStore& store, size_t records) {
+  for (size_t start = 0; start < records; start += kBatch) {
+    const size_t end = std::min(records, start + kBatch);
+    auto committed = store.Commit([start, end](lsd::LooseDb& db) {
+      for (size_t i = start; i < end; ++i) {
+        db.Assert("E-" + std::to_string(i), "REL-" + std::to_string(i % 16),
+                  "V-" + std::to_string(i));
+      }
+      return lsd::Status::OK();
+    });
+    if (!committed.ok()) {
+      std::fprintf(stderr, "commit failed: %s\n",
+                   committed.status().ToString().c_str());
+      std::exit(1);
+    }
   }
 }
 
@@ -60,13 +80,13 @@ RunResult RunOne(const fs::path& dir, size_t records, bool checkpoints) {
               std::to_string(records)))
           .string();
   {
-    lsd::LooseDb db(Options(checkpoints));
-    lsd::Status opened = db.Open(prefix);
+    lsd::SharedStore store;
+    lsd::Status opened = store.OpenDurable(prefix, Durability(checkpoints));
     if (!opened.ok()) {
       std::fprintf(stderr, "open failed: %s\n", opened.ToString().c_str());
       std::exit(1);
     }
-    Fill(db, records);
+    Fill(store, records);
   }
 
   RunResult result;
@@ -83,19 +103,19 @@ RunResult RunOne(const fs::path& dir, size_t records, bool checkpoints) {
     }
   }
 
-  result.open_ms = 1e18;
+  result.recover_ms = 1e18;
   for (int rep = 0; rep < 3; ++rep) {
-    lsd::LooseDb db(Options(checkpoints));
+    lsd::LooseDb db;
     auto t0 = Clock::now();
-    lsd::Status opened = db.Open(prefix);
+    lsd::Status recovered = db.Recover(prefix);
     double ms = std::chrono::duration<double, std::milli>(Clock::now() - t0)
                     .count();
-    if (!opened.ok()) {
+    if (!recovered.ok()) {
       std::fprintf(stderr, "recovery failed: %s\n",
-                   opened.ToString().c_str());
+                   recovered.ToString().c_str());
       std::exit(1);
     }
-    if (ms < result.open_ms) result.open_ms = ms;
+    if (ms < result.recover_ms) result.recover_ms = ms;
     const lsd::RecoveryStats& stats = db.last_recovery();
     result.records_replayed = stats.records_replayed;
     result.segments_replayed = stats.segments_replayed;
@@ -139,10 +159,11 @@ int main(int argc, char** argv) {
                                    std::to_string(::getpid()));
   fs::create_directories(dir, ec);
 
-  std::printf("# bench_recovery: cold Open() time (best of 3) vs log "
+  std::printf("# bench_recovery: cold Recover() time (best of 3) vs log "
               "size, checkpoints off/on\n");
   std::printf("%9s %6s %10s %10s %10s %10s %9s\n", "records", "ckpt",
-              "open_ms", "wal_bytes", "snap_bytes", "replayed", "segments");
+              "recover_ms", "wal_bytes", "snap_bytes", "replayed",
+              "segments");
 
   std::vector<RunResult> results;
   for (size_t records : record_counts) {
@@ -150,7 +171,7 @@ int main(int argc, char** argv) {
       RunResult r = RunOne(dir, records, checkpoints);
       results.push_back(r);
       std::printf("%9zu %6s %10.2f %10llu %10llu %10zu %9zu\n", r.records,
-                  r.checkpoints ? "on" : "off", r.open_ms,
+                  r.checkpoints ? "on" : "off", r.recover_ms,
                   static_cast<unsigned long long>(r.wal_bytes),
                   static_cast<unsigned long long>(r.snapshot_bytes),
                   r.records_replayed, r.segments_replayed);
@@ -159,9 +180,10 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
-    out << "{\n  \"comment\": \"bench_recovery: cold Open() recovery "
-           "time (best of 3) vs WAL size, with checkpoint_bytes=0 vs "
-           "64KiB; regenerate with tools/bench_json.sh. With "
+    out << "{\n  \"comment\": \"bench_recovery: cold LooseDb::Recover() "
+           "time (best of 3) vs WAL size, the log written by 256-fact "
+           "group commits with checkpoint_bytes=0 vs 64KiB; regenerate "
+           "with tools/bench_json.sh. With "
            "checkpoints the replayed-record count (and so recovery "
            "time) stays bounded while the pure-WAL variant replays "
            "everything.\",\n  \"runs\": [\n";
@@ -171,10 +193,10 @@ int main(int argc, char** argv) {
       std::snprintf(
           buf, sizeof(buf),
           "    {\"records\": %zu, \"checkpoints\": %s, "
-          "\"open_ms\": %.2f, \"wal_bytes\": %llu, "
+          "\"recover_ms\": %.2f, \"wal_bytes\": %llu, "
           "\"snapshot_bytes\": %llu, \"records_replayed\": %zu, "
           "\"segments_replayed\": %zu, \"snapshot_loaded\": %s}%s\n",
-          r.records, r.checkpoints ? "true" : "false", r.open_ms,
+          r.records, r.checkpoints ? "true" : "false", r.recover_ms,
           static_cast<unsigned long long>(r.wal_bytes),
           static_cast<unsigned long long>(r.snapshot_bytes),
           r.records_replayed, r.segments_replayed,

@@ -45,57 +45,6 @@ void LooseDb::MaintainIncremental(const Fact& f, bool asserted) {
   // version invalidates them on next use.
 }
 
-Status LooseDb::MaybeAutoCheckpoint() {
-  if (options_.checkpoint_bytes == 0 || in_checkpoint_ ||
-      !wal_.is_open() || save_prefix_.empty() ||
-      wal_.generation_bytes() < options_.checkpoint_bytes) {
-    return Status::OK();
-  }
-  in_checkpoint_ = true;
-  Status s = Save(save_prefix_);
-  in_checkpoint_ = false;
-  return s;
-}
-
-Status LooseDb::LogAssert(const Fact& f) {
-  if (capture_ != nullptr) {
-    capture_->push_back(WalAssertRecord(store_, f));
-    return Status::OK();
-  }
-  if (!wal_.is_open()) return Status::OK();
-  Status s = wal_.AppendAssert(store_, f);
-  if (!s.ok()) {
-    if (wal_error_.ok()) wal_error_ = s;
-    return s;
-  }
-  return MaybeAutoCheckpoint();
-}
-
-Status LooseDb::LogRetract(const Fact& f) {
-  if (capture_ != nullptr) {
-    capture_->push_back(WalRetractRecord(store_, f));
-    return Status::OK();
-  }
-  if (!wal_.is_open()) return Status::OK();
-  Status s = wal_.AppendRetract(store_, f);
-  if (!s.ok()) {
-    if (wal_error_.ok()) wal_error_ = s;
-    return s;
-  }
-  return MaybeAutoCheckpoint();
-}
-
-Status LooseDb::LogRule(const Rule& rule) {
-  if (capture_ != nullptr) {
-    capture_->push_back(WalRuleRecord(rule, store_.entities()));
-    return Status::OK();
-  }
-  if (!wal_.is_open()) return Status::OK();
-  Status s = wal_.AppendRule(rule, store_.entities());
-  if (!s.ok() && wal_error_.ok()) wal_error_ = s;
-  return s;
-}
-
 Fact LooseDb::Assert(std::string_view source, std::string_view relationship,
                      std::string_view target) {
   Fact f(store_.entities().Intern(source),
@@ -108,9 +57,7 @@ Fact LooseDb::Assert(std::string_view source, std::string_view relationship,
 bool LooseDb::Assert(const Fact& f) {
   bool inserted = store_.Assert(f);
   if (inserted) {
-    // The bool API cannot carry the log's status; a failure is latched
-    // in wal_error_ and the poisoned log refuses further appends.
-    (void)LogAssert(f);
+    if (capture_ != nullptr) capture_->push_back(WalAssertRecord(store_, f));
     MaintainIncremental(f, /*asserted=*/true);
     if (f.relationship == kEntIn && f.target == kEntClassRel) {
       // Marking a class relationship changes which old facts pass the
@@ -127,7 +74,7 @@ bool LooseDb::Assert(const Fact& f) {
 bool LooseDb::Retract(const Fact& f) {
   bool erased = store_.Retract(f);
   if (erased) {
-    (void)LogRetract(f);
+    if (capture_ != nullptr) capture_->push_back(WalRetractRecord(store_, f));
     MaintainIncremental(f, /*asserted=*/false);
     // The closure is only monotone under addition; a retraction may
     // invalidate derived facts, so the extension shortcut is off until
@@ -161,7 +108,7 @@ Status LooseDb::Retract(std::string_view source,
 }
 
 void LooseDb::MarkClassRelationship(std::string_view relationship) {
-  store_.MarkClassRelationship(store_.entities().Intern(relationship));
+  Assert(Fact(store_.entities().Intern(relationship), kEntIn, kEntClassRel));
 }
 
 Status LooseDb::DefineRule(std::string_view text, RuleKind kind) {
@@ -178,10 +125,12 @@ Status LooseDb::AddRule(Rule rule) {
                                    "' already defined");
     }
   }
-  LSD_RETURN_IF_ERROR(LogRule(rule));
+  if (capture_ != nullptr) {
+    capture_->push_back(WalRuleRecord(rule, store_.entities()));
+  }
   rules_.push_back(std::move(rule));
   ++rules_version_;
-  return MaybeAutoCheckpoint();
+  return Status::OK();
 }
 
 Status LooseDb::SetRuleEnabled(std::string_view name, bool enabled) {
@@ -192,13 +141,6 @@ Status LooseDb::SetRuleEnabled(std::string_view name, bool enabled) {
         ++rules_version_;
         if (capture_ != nullptr) {
           capture_->push_back(WalRuleEnabledRecord(r.name, enabled));
-        } else if (wal_.is_open()) {
-          Status s = wal_.AppendSetRuleEnabled(r.name, enabled);
-          if (!s.ok()) {
-            if (wal_error_.ok()) wal_error_ = s;
-            return s;
-          }
-          return MaybeAutoCheckpoint();
         }
       }
       return Status::OK();
@@ -362,7 +304,10 @@ Status LooseDb::CloneInto(LooseDb* out) const {
   // mistaken for a no-op by the commit path.
   out->store_.set_version(store_.version());
   out->rules_ = rules_;
-  ++out->rules_version_;
+  // Likewise the rules clock: a clone restarting it could land a
+  // rule-only commit back on the source's key pair, and the commit path
+  // would drop it as a no-op.
+  out->rules_version_ = rules_version_;
   out->composition_limit_ = composition_limit_;
   for (const Definition& d : definitions_.all()) {
     Definition copy;
@@ -604,67 +549,37 @@ StatusOr<RelationTable> LooseDb::Relation(
 }
 
 Status LooseDb::LoadText(std::string_view text) {
-  std::vector<Rule> new_rules;
+  std::vector<Rule> rules;
+  std::vector<Fact> facts;
   LSD_RETURN_IF_ERROR(
-      ParseText(text, &store_, &new_rules, &definitions_));
-  for (Rule& r : new_rules) {
-    LSD_RETURN_IF_ERROR(AddRule(std::move(r)));
-  }
-  return Status::OK();
+      ParseText(text, &store_.entities(), &facts, &rules, &definitions_));
+  return AddLoaded(std::move(rules), facts);
 }
 
 Status LooseDb::LoadTextFile(const std::string& path) {
-  std::vector<Rule> new_rules;
-  LSD_RETURN_IF_ERROR(
-      lsd::LoadTextFile(path, &store_, &new_rules, &definitions_));
-  for (Rule& r : new_rules) {
+  std::vector<Rule> rules;
+  std::vector<Fact> facts;
+  LSD_RETURN_IF_ERROR(lsd::LoadTextFile(path, &store_.entities(), &facts,
+                                        &rules, &definitions_));
+  return AddLoaded(std::move(rules), facts);
+}
+
+Status LooseDb::AddLoaded(std::vector<Rule> rules,
+                          const std::vector<Fact>& facts) {
+  for (const Fact& f : facts) Assert(f);
+  for (Rule& r : rules) {
     LSD_RETURN_IF_ERROR(AddRule(std::move(r)));
   }
   return Status::OK();
 }
 
-Status LooseDb::Save(const std::string& path_prefix) {
-  const std::string base = path_prefix + ".wal";
-  WalOptions wal_options{options_.wal_sync, options_.wal_segment_bytes};
-  if (!wal_.is_open() || wal_path_ != base) {
-    // Attach to whatever segments already live at this prefix so the
-    // checkpoint generation continues past them (a snapshot stamped
-    // below a leftover segment's generation would replay stale data).
-    wal_.Close();
-    LSD_RETURN_IF_ERROR(wal_.Open(base, wal_options, 0));
-  }
-  // The checkpoint sequence. Each step is individually crash-safe:
-  // 1. publish the snapshot (atomic rename) stamped generation G+1;
-  //    a crash here recovers from the new snapshot, skipping the old
-  //    segments (their generation G predates it);
-  // 2. swap the WAL to a fresh segment stamped G+1 and drop the old
-  //    segments (BeginGeneration handles its own crash window).
-  const uint64_t next_generation = wal_.generation() + 1;
-  LSD_RETURN_IF_ERROR(SaveSnapshotAtomic(path_prefix + ".snap", store_,
-                                         rules_, next_generation));
-  LSD_FAILPOINT(checkpoint.swap);
-  LSD_RETURN_IF_ERROR(wal_.BeginGeneration(next_generation));
-  wal_path_ = base;
-  save_prefix_ = path_prefix;
-  wal_error_ = Status::OK();  // the snapshot re-established durability
-  return Status::OK();
-}
-
-Status LooseDb::Checkpoint() {
-  if (save_prefix_.empty()) {
+Status LooseDb::Save(const std::string& path_prefix) const {
+  if (!Wal::Inventory(path_prefix + ".wal").empty()) {
     return Status::FailedPrecondition(
-        "Checkpoint() requires a prior Open() or Save()");
+        path_prefix + " holds a write-ahead log; a snapshot saved there "
+        "would have it replayed on top");
   }
-  return Save(save_prefix_);
-}
-
-Status LooseDb::Open(const std::string& path_prefix) {
-  LSD_RETURN_IF_ERROR(Recover(path_prefix));
-  wal_path_ = path_prefix + ".wal";
-  save_prefix_ = path_prefix;
-  wal_error_ = Status::OK();
-  WalOptions wal_options{options_.wal_sync, options_.wal_segment_bytes};
-  return wal_.Open(wal_path_, wal_options, last_recovery_.generation);
+  return SaveSnapshotAtomic(path_prefix + ".snap", store_, rules_);
 }
 
 Status LooseDb::Recover(const std::string& path_prefix) {

@@ -50,16 +50,6 @@ struct LooseDbOptions {
   // recomputing it (Sec 6.2's "update of data"; see rules/incremental.h).
   // Point updates become cheap; rule changes still trigger a rebuild.
   bool incremental_maintenance = false;
-  // Durability of the attached WAL (Save/Open): fsync every record or
-  // just flush it to the OS.
-  WalSync wal_sync = WalSync::kFlush;
-  // WAL segment rotation threshold (0 disables rotation).
-  uint64_t wal_segment_bytes = 4ull << 20;
-  // Auto-checkpoint: once this many bytes of WAL records accumulate
-  // since the last checkpoint, the next logged mutation triggers
-  // Checkpoint() (bounded replay on recovery). 0 disables; call
-  // Checkpoint()/Save() manually.
-  uint64_t checkpoint_bytes = 0;
 };
 
 class LooseDb {
@@ -126,9 +116,10 @@ class LooseDb {
   // Copies facts, entities (ids preserved), rules, operator definitions
   // and the composition limit into `out`, which must be freshly
   // constructed with standard_rules = false (clean containers). The
-  // clone's caches start cold; its version counters restart. WAL
-  // attachment is not cloned. This is the serving layer's copy-on-commit
-  // path.
+  // clone adopts both version counters, so any later mutation moves it
+  // off the source's key pair; its caches start cold unless the closure
+  // can be transplanted. The mutation capture is not cloned. This is the
+  // serving layer's copy-on-commit path.
   Status CloneInto(LooseDb* out) const;
 
   // Planner-cache observability (hit rate across this database's life).
@@ -253,55 +244,36 @@ class LooseDb {
   // ---- Persistence -------------------------------------------------------
 
   // Loads .lsd text (facts, rules, @class marks) into this database.
+  // Facts and marks go through Assert, so a capturing commit logs them.
   Status LoadText(std::string_view text);
   Status LoadTextFile(const std::string& path);
 
-  // Snapshot + WAL durability. Save() checkpoints: it atomically
-  // publishes <prefix>.snap stamped with the next checkpoint generation,
-  // swaps the WAL to a fresh same-generation segment, and drops the old
-  // segments. Open() loads <prefix>.snap (if present), replays the
-  // <prefix>.wal.NNNNNN segments (salvaging any torn/corrupt suffix),
-  // and attaches the WAL so subsequent mutations are logged; what
-  // recovery found is available via last_recovery(). Known limitation:
-  // operator definitions (Sec 6.1) are not persisted — keep them in a
-  // .lsd file loaded at startup.
-  Status Save(const std::string& path_prefix);
-  Status Open(const std::string& path_prefix);
+  // Exports a snapshot to <prefix>.snap (write, then atomic rename). It
+  // attaches no log, so it refuses a prefix that already holds WAL
+  // segments: recovery would replay them over the export. A durable
+  // store checkpoints with SharedStore::Checkpoint instead.
+  Status Save(const std::string& path_prefix) const;
 
-  // Open() minus the WAL attachment: loads the snapshot and replays the
-  // segments (salvaging damage, reporting via last_recovery()) but does
-  // NOT claim the append point. For callers that own the log themselves
-  // — SharedStore's group-commit leader recovers its bootstrap epoch
-  // this way and then opens the Wal directly (see server/shared_store.h).
+  // Loads <prefix>.snap (if present) and replays the <prefix>.wal.NNNNNN
+  // segments, salvaging any torn or corrupt suffix; what recovery found
+  // is available via last_recovery(). Writes no log of its own:
+  // SharedStore::OpenDurable recovers its bootstrap epoch this way and
+  // then owns the log. Operator definitions (Sec 6.1) are not persisted
+  // — keep them in a .lsd file loaded at startup.
   Status Recover(const std::string& path_prefix);
+
+  // What the last Recover() found (zeroed if never recovered).
+  const RecoveryStats& last_recovery() const { return last_recovery_; }
 
   // Group-commit capture: while `sink` is non-null, every WAL-shaped
   // mutation record (assert/retract/rule/include/exclude) is pushed
-  // onto `sink` instead of the attached log. The serving layer sets a
-  // sink on commit clones, then batch-appends the whole commit group's
-  // records to its own WAL under one fsync. Callers must clear the sink
-  // (set nullptr) before the vector goes out of scope.
+  // onto `sink`. The serving layer sets a sink on commit clones, then
+  // batch-appends the whole commit group's records to its own WAL under
+  // one fsync. Callers must clear the sink (set nullptr) before the
+  // vector goes out of scope.
   void set_mutation_capture(std::vector<WalRecord>* sink) {
     capture_ = sink;
   }
-
-  // Save() to the prefix this database was Open()ed or last Save()d at.
-  // Also triggered automatically by options_.checkpoint_bytes.
-  Status Checkpoint();
-
-  // What the last Open() had to do to recover (zeroed if this database
-  // was never Open()ed).
-  const RecoveryStats& last_recovery() const { return last_recovery_; }
-
-  // The attached log's counters (append/batch/fsync tallies for the
-  // shell's `stats`); check wal().is_open() before reading the rest.
-  const Wal& wal() const { return wal_; }
-
-  // The first WAL append error since the log was attached, if any.
-  // Assert/Retract report success against the in-memory store even if
-  // logging fails (the paper's API predates durability); this surfaces
-  // the dropped durability so shells and servers can warn.
-  const Status& wal_status() const { return wal_error_; }
 
   // Governs the lazy closure recompute inside View(): while set, a
   // rebuild runs under `budget` and a trip makes View() fail with the
@@ -316,10 +288,8 @@ class LooseDb {
  private:
   EntityId MustLookup(std::string_view name, Status* status) const;
   void Invalidate();
-  Status LogAssert(const Fact& f);
-  Status LogRetract(const Fact& f);
-  Status LogRule(const Rule& rule);
-  Status MaybeAutoCheckpoint();
+  // Adds `rules` (parsed from .lsd text) and asserts `facts`.
+  Status AddLoaded(std::vector<Rule> rules, const std::vector<Fact>& facts);
 
   LooseDbOptions options_;
   FactStore store_;
@@ -330,13 +300,8 @@ class LooseDb {
 
   MathProvider math_;
   RuleEngine engine_;
-  std::vector<WalRecord>* capture_ = nullptr;  // group-commit redirect
-  Wal wal_;
-  std::string wal_path_;
-  std::string save_prefix_;       // where Open/Save attached durability
-  Status wal_error_;              // first append failure, if any
+  std::vector<WalRecord>* capture_ = nullptr;  // group-commit sink
   RecoveryStats last_recovery_;
-  bool in_checkpoint_ = false;    // re-entrancy guard for auto-checkpoint
   const QueryBudget* read_budget_ = nullptr;  // governs View() rebuilds
 
   // Closure cache, keyed by (store version, rules version).
@@ -350,9 +315,9 @@ class LooseDb {
   // exactly these (RuleEngine::ExtendClosure) instead of recomputing,
   // provided the version arithmetic proves the list is complete: every
   // store-version bump since the closure was keyed must correspond to
-  // one captured fact (mutations that bypass Assert — LoadText,
-  // Recover, MarkClassRelationship — bump the version without growing
-  // the delta and thus force the full recompute).
+  // one captured fact (a mutation that bypasses Assert, such as
+  // Recover, bumps the version without growing the delta and thus
+  // forces the full recompute).
   mutable std::vector<Fact> closure_delta_;
   mutable bool closure_extension_ok_ = true;
   // Bumped by InstallCompactedTiers (storage layout changed with no

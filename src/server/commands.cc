@@ -1,12 +1,13 @@
-// ServerSession::Execute — the wire command grammar. Deliberately the
-// lsd_shell grammar (assert/retract/rule/query/probe/nav/assoc/...), so
-// a transcript that works in the single-user shell works against the
-// server, plus the server-only verbs:
+// ServerSession::Execute — the one command interpreter. The lsd_shell
+// REPL and the lsd_serve wire protocol both hand it every line
+// (assert/retract/rule/query/probe/nav/assoc/...), so a transcript
+// behaves the same in either, including the session verbs:
 //
 //   hypo assert|retract (S,R,T)   session-local hypothetical mutation
 //   hypo list | hypo clear        inspect / drop the overlay
 //   session                       this session's state
 //   stats                         shared-store + session statistics
+//   checkpoint                    snapshot + fresh log generation
 //   ping                          liveness probe
 //
 // Reads run against the session's pinned epoch (or its hypothetical
@@ -54,7 +55,8 @@ std::string RenderProbe(const ProbeResult& probe,
 
 // The verbs that mutate the shared store; a read-only follower rejects
 // them. (hypo stays allowed: the overlay is session-local and never
-// reaches the commit path; limit/save likewise.)
+// reaches the commit path; limit/save likewise. A follower is never
+// durable, so checkpoint fails there on its own.)
 bool IsMutationVerb(const std::string& cmd) {
   return cmd == "assert" || cmd == "retract" || cmd == "assert*" ||
          cmd == "retract*" || cmd == "rule" || cmd == "integrity" ||
@@ -375,8 +377,30 @@ StatusOr<std::string> ServerSession::RenderStats() {
     out += "wal:            " + std::to_string(gc.wal_records) +
            " records in " + std::to_string(gc.wal_batches) +
            " batches, " + std::to_string(gc.fsyncs) + " fsyncs (" +
-           std::to_string(gc.slots_acked) + " writes acked)" +
-           (store_->wal_status().ok() ? "" : " [DEGRADED]") + "\n";
+           std::to_string(gc.slots_acked) + " writes acked; gen " +
+           std::to_string(store_->wal().durable_position().generation) +
+           ", " + std::to_string(store_->wal().generation_bytes()) +
+           " bytes since checkpoint)\n";
+    const Status wal_status = store_->wal_status();
+    if (!wal_status.ok()) {
+      out += "wal status:     DEGRADED: " + wal_status.ToString() + "\n";
+    }
+    // The on-disk segment inventory: what a crash would recover from,
+    // and what a replication subscriber can still resume from.
+    const std::vector<WalSegmentInfo> segments =
+        store_->wal().SegmentInventory();
+    uint64_t total = 0;
+    for (const WalSegmentInfo& seg : segments) total += seg.bytes;
+    out += "wal segments:   " + std::to_string(segments.size()) +
+           " live, " + std::to_string(total) + " bytes on disk\n";
+    for (const WalSegmentInfo& seg : segments) {
+      char seq[16];
+      std::snprintf(seq, sizeof(seq), "%06llu",
+                    static_cast<unsigned long long>(seg.seq));
+      out += std::string("  seg ") + seq + "    gen " +
+             std::to_string(seg.generation) + ", " +
+             std::to_string(seg.bytes) + " bytes (" + seg.path + ")\n";
+    }
   }
   if (store_->compaction_enabled()) {
     const CompactionStats cs = store_->compaction_stats();
@@ -530,7 +554,8 @@ StatusOr<std::string> ServerSession::Execute(std::string_view line) {
         "          relation CLASS R T [R T..] · limit N ·"
         " include/exclude NAME\n"
         "          hypo assert|retract (S,R,T) · hypo list · hypo clear\n"
-        "          rules · check · save PREFIX · stats · session · ping\n");
+        "          rules · check · load FILE · save PREFIX · checkpoint\n"
+        "          stats · session · ping · quit\n");
   }
 
   // ---- Shared writes (commit path) ---------------------------------------
@@ -611,6 +636,12 @@ StatusOr<std::string> ServerSession::Execute(std::string_view line) {
         store_->Commit([&](LooseDb& db) { return db.LoadTextFile(rest); });
     if (!epoch.ok()) return epoch.status();
     return std::string("loaded\n");
+  }
+  if (cmd == "checkpoint") {
+    LSD_RETURN_IF_ERROR(store_->Checkpoint());
+    return "checkpointed at generation " +
+           std::to_string(store_->wal().durable_position().generation) +
+           "\n";
   }
 
   // ---- Session-local settings --------------------------------------------
@@ -741,10 +772,16 @@ StatusOr<std::string> ServerSession::Execute(std::string_view line) {
     return out;
   }
   if (cmd == "save") {
-    // Snapshot the pinned epoch — a consistent point-in-time image even
-    // while other sessions keep committing.
-    LSD_RETURN_IF_ERROR(
-        SaveSnapshot(rest + ".snap", db.store(), db.rules()));
+    // Export the pinned epoch — a consistent point-in-time image even
+    // while other sessions keep committing. Never onto the store's own
+    // prefix: recovery would replay the whole log over the export.
+    if (rest.empty()) return Status::InvalidArgument("usage: save PREFIX");
+    if (rest == store_->save_prefix()) {
+      return Status::FailedPrecondition(
+          "save would overwrite this store's own snapshot; use "
+          "'checkpoint'");
+    }
+    LSD_RETURN_IF_ERROR(db.Save(rest));
     return "saved " + rest + ".snap\n";
   }
 

@@ -714,31 +714,17 @@ void LsdServer::ExecuteOne(const ConnPtr& conn, PendingRequest request) {
       conn->active_budget = budget;
     }
   }
-  session->set_request_budget(budget.get());
-  auto start = Clock::now();
-  StatusOr<std::string> result =
-      request.mutation ? session->ExecuteBatchMutation(request.command)
-                       : session->Execute(request.command);
-  auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-      Clock::now() - start);
-  session->set_request_budget(nullptr);
+  // The session charges the budget and counts a budget-typed failure
+  // into governance_. A failure never hangs up: the worker unwound
+  // cleanly, session state is intact, and cheap pipelined requests
+  // behind the poisoned one still deserve their answers.
+  StatusOr<std::string> result = session->ExecuteRequest(
+      request.command, request.mutation, budget.get());
   if (budget != nullptr) {
-    session->AccumulateSteps(budget->steps());
     std::lock_guard<std::mutex> lock(conn->mu);
     conn->active_budget.reset();
   }
   requests_served_.fetch_add(1);
-  governance_.RecordElapsedMs(static_cast<uint64_t>(elapsed.count()));
-  // A budget-typed failure counts under its cancel reason. Unlike the
-  // old soft deadline there is no hangup: the worker unwound cleanly,
-  // session state is intact, and cheap pipelined requests behind the
-  // poisoned one still deserve their answers.
-  if (!result.ok() && budget != nullptr && budget->cancelled() &&
-      (result.status().IsDeadlineExceeded() ||
-       result.status().IsCancelled() ||
-       result.status().IsResourceExhausted())) {
-    governance_.CountCancel(budget->cancel_reason());
-  }
   // An injected write failure drops the response on the floor and
   // hangs up, exactly like a send-buffer error would: the client sees
   // a dead connection and must retry.

@@ -1,8 +1,32 @@
 #include "server/session.h"
 
+#include <chrono>
 #include <utility>
 
 namespace lsd {
+
+StatusOr<std::string> ServerSession::ExecuteRequest(
+    std::string_view request, bool mutation, const QueryBudget* budget) {
+  set_request_budget(budget);
+  const auto start = std::chrono::steady_clock::now();
+  StatusOr<std::string> result =
+      mutation ? ExecuteBatchMutation(request) : Execute(request);
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  set_request_budget(nullptr);
+  if (budget != nullptr) AccumulateSteps(budget->steps());
+  if (governance_ == nullptr) return result;
+  governance_->RecordElapsedMs(static_cast<uint64_t>(elapsed.count()));
+  // A budget-typed failure counts under its cancel reason; any other
+  // failure of a request whose budget happened to trip does not.
+  if (!result.ok() && budget != nullptr && budget->cancelled() &&
+      (result.status().IsDeadlineExceeded() ||
+       result.status().IsCancelled() ||
+       result.status().IsResourceExhausted())) {
+    governance_->CountCancel(budget->cancel_reason());
+  }
+  return result;
+}
 
 StatusOr<ServerSession::PinnedDb> ServerSession::Pin() {
   EpochPtr epoch = store_->snapshot();

@@ -75,11 +75,11 @@ class ServerSession {
     governance_ = governance;
   }
 
-  // The budget of the request currently executing, set by the worker
-  // around Execute()/ExecuteBatchMutation() and cleared after. Threaded
-  // into every read verb's eval options and checked before any commit
-  // slot enqueues; also governs the session-private overlay's lazy
-  // closure rebuild (see Pin()).
+  // The budget of the request currently executing, set around
+  // Execute()/ExecuteBatchMutation() (ExecuteRequest does it) and
+  // cleared after. Threaded into every read verb's eval options and
+  // checked before any commit slot enqueues; also governs the
+  // session-private overlay's lazy closure rebuild (see Pin()).
   void set_request_budget(const QueryBudget* budget) {
     budget_ = budget;
     if (overlay_db_ != nullptr) overlay_db_->set_read_budget(budget);
@@ -91,9 +91,10 @@ class ServerSession {
   void AccumulateSteps(uint64_t steps) { steps_used_ += steps; }
   uint64_t steps_used() const { return steps_used_; }
 
-  // Executes one command line (the lsd_shell grammar plus the server
-  // verbs: hypo, session, ping) and returns the rendered output. An
-  // error Status carries the message the protocol layer reports as ERR.
+  // Executes one command line (the grammar every front end shares; see
+  // commands.cc) and returns the rendered output. An error Status
+  // carries the message the protocol layer reports as ERR and the shell
+  // prints after "! ".
   StatusOr<std::string> Execute(std::string_view line);
 
   // Executes the payload of a binary kMutation frame: decodes the
@@ -102,6 +103,16 @@ class ServerSession {
   // the added/present/removed/missing tally, or InvalidArgument for a
   // malformed payload (nothing mutates).
   StatusOr<std::string> ExecuteBatchMutation(std::string_view payload);
+
+  // One governed request, as every front end runs it: arms `budget`
+  // (null = ungoverned) around Execute — or, when `mutation`, around
+  // ExecuteBatchMutation of a kMutation frame's payload — then charges
+  // the budget's steps to this session, and the elapsed time and any
+  // budget-typed failure (under its cancel reason) to the governance
+  // state.
+  StatusOr<std::string> ExecuteRequest(std::string_view request,
+                                       bool mutation,
+                                       const QueryBudget* budget);
 
   uint64_t requests() const { return requests_; }
   size_t overlay_size() const {

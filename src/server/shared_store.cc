@@ -23,21 +23,20 @@ Status SharedStore::OpenDurable(const std::string& path_prefix,
   if (wal_.is_open()) {
     return Status::FailedPrecondition("store is already durable");
   }
-  // Recover into a fresh bootstrap epoch. The epoch must never own the
-  // log (epochs are immutable and short-lived; the store outlives them
-  // all), so recovery runs attach-less and the store opens the Wal
-  // itself at the recovered generation.
+  // Recover into a fresh bootstrap epoch. Epochs are immutable and
+  // short-lived while the store outlives them all, so the store owns
+  // the log and opens it itself at the recovered generation.
   auto db = std::make_unique<LooseDb>(options_);
   LSD_RETURN_IF_ERROR(db->Recover(path_prefix));
   last_recovery_ = db->last_recovery();
   LSD_RETURN_IF_ERROR(db->Warm());
-  save_prefix_ = path_prefix;
   checkpoint_bytes_ = durability.checkpoint_bytes;
   WalOptions wal_options{durability.sync, durability.segment_bytes};
   // Open the log BEFORE publishing, so the bootstrap epoch carries the
   // recovered durable position (replication's shipping watermark).
   LSD_RETURN_IF_ERROR(wal_.Open(path_prefix + ".wal", wal_options,
                                 last_recovery_.generation));
+  save_prefix_ = path_prefix;
   {
     std::unique_lock<std::shared_mutex> tip_lock(tip_mu_);
     published_ = std::make_shared<const Epoch>(std::move(db), 0, NowMs(),
@@ -74,14 +73,25 @@ StatusOr<EpochPtr> SharedStore::Commit(
   return CommitInternal(mutate);
 }
 
+Status SharedStore::Checkpoint() {
+  if (!durable()) {
+    return Status::FailedPrecondition(
+        "checkpoint needs a durable store (OpenDurable)");
+  }
+  static const std::function<Status(LooseDb&)> kNoMutation =
+      [](LooseDb&) { return Status::OK(); };
+  return CommitInternal(kNoMutation, /*checkpoint=*/true).status();
+}
+
 StatusOr<EpochPtr> SharedStore::CommitInternal(
-    const std::function<Status(LooseDb&)>& mutate) {
+    const std::function<Status(LooseDb&)>& mutate, bool checkpoint) {
   // A failure here models the commit dying before any work: readers
   // keep the old tip, nothing is half-published, no slot is enqueued.
   LSD_FAILPOINT_RETURN_IF_SET(store.commit.begin);
 
   CommitSlot slot;
   slot.mutate = &mutate;
+  slot.checkpoint = checkpoint;
   std::unique_lock<std::mutex> lock(queue_mu_);
   queue_.push_back(&slot);
   if (leader_active_) {
@@ -161,6 +171,14 @@ void SharedStore::ProcessGroup(std::vector<CommitSlot*> group) {
     max_group_.store(group_size, std::memory_order_relaxed);
   }
 
+  // A group of Checkpoint() slots alone mutates nothing: checkpoint
+  // the tip as it stands, without an O(n) clone to learn that.
+  if (std::all_of(group.begin(), group.end(),
+                  [](const CommitSlot* s) { return s->checkpoint; })) {
+    AckGroup(group, snapshot());
+    return;
+  }
+
   // `group` shrinks as slots fail; each shrink replays the remainder
   // on a fresh clone (failures are rare — the common path clones once).
   std::unique_ptr<LooseDb> next;
@@ -184,11 +202,7 @@ void SharedStore::ProcessGroup(std::vector<CommitSlot*> group) {
           tip->db().definitions().all().size();
   if (logical_noop &&
       next->storage_generation() == tip->db().storage_generation()) {
-    for (CommitSlot* s : group) {
-      s->result = Status::OK();
-      s->epoch = tip;
-    }
-    slots_acked_.fetch_add(group.size(), std::memory_order_relaxed);
+    AckGroup(group, tip);
     return;
   }
 
@@ -246,24 +260,33 @@ void SharedStore::ProcessGroup(std::vector<CommitSlot*> group) {
     published_ = epoch;
   }
   commits_.fetch_add(1);
-  slots_acked_.fetch_add(group.size(), std::memory_order_relaxed);
-  for (CommitSlot* s : group) {
-    s->result = Status::OK();
-    s->epoch = epoch;
-  }
   if (compactor_ != nullptr) compactor_->Notify();
-  MaybeCheckpoint(epoch);
+  AckGroup(group, epoch);
 }
 
-void SharedStore::MaybeCheckpoint(const EpochPtr& tip) {
-  if (checkpoint_bytes_ == 0 || !wal_.is_open() ||
-      wal_.generation_bytes() < checkpoint_bytes_) {
-    return;
+void SharedStore::AckGroup(const std::vector<CommitSlot*>& group,
+                           const EpochPtr& epoch) {
+  // One checkpoint sequence for both triggers: a Checkpoint() slot in
+  // the group, or checkpoint_bytes of log since the last checkpoint.
+  bool requested = false;
+  for (const CommitSlot* s : group) requested = requested || s->checkpoint;
+  Status checkpointed;
+  if (requested || (checkpoint_bytes_ != 0 && wal_.is_open() &&
+                    wal_.generation_bytes() >= checkpoint_bytes_)) {
+    checkpointed = WriteCheckpoint(epoch);
   }
-  // The LooseDb::Save checkpoint sequence, leader-side: publish the
-  // tip's snapshot stamped G+1 (atomic rename), then swap the log to a
-  // fresh G+1 segment and drop the old ones. Each step is individually
-  // crash-safe; a failure only delays the next checkpoint attempt.
+  uint64_t acked = 0;
+  for (CommitSlot* s : group) {
+    s->result = s->checkpoint ? checkpointed : Status::OK();
+    s->epoch = epoch;
+    if (s->result.ok()) ++acked;
+  }
+  slots_acked_.fetch_add(acked, std::memory_order_relaxed);
+  slots_rejected_.fetch_add(group.size() - acked,
+                            std::memory_order_relaxed);
+}
+
+Status SharedStore::WriteCheckpoint(const EpochPtr& tip) {
   const uint64_t next_generation = wal_.generation() + 1;
   Status s = SaveSnapshotAtomic(save_prefix_ + ".snap", tip->db().store(),
                                 tip->db().rules(), next_generation);
@@ -275,6 +298,7 @@ void SharedStore::MaybeCheckpoint(const EpochPtr& tip) {
     std::lock_guard<std::mutex> error_lock(wal_error_mu_);
     if (wal_error_.ok()) wal_error_ = s;
   }
+  return s;
 }
 
 Status SharedStore::EnableCompaction(const CompactionOptions& options) {

@@ -125,8 +125,8 @@ struct SharedStoreDurability {
   // WAL segment rotation threshold (0 disables rotation).
   uint64_t segment_bytes = 4ull << 20;
   // Leader-side auto-checkpoint: once this many bytes of WAL records
-  // accumulate since the last checkpoint, the leader snapshots the tip
-  // and swaps the log to a fresh generation. 0 disables.
+  // accumulate since the last checkpoint, the leader runs the
+  // Checkpoint() sequence after its group. 0 disables.
   uint64_t checkpoint_bytes = 0;
 };
 
@@ -136,6 +136,7 @@ struct GroupCommitStats {
   uint64_t groups = 0;          // commit groups processed
   uint64_t slots_acked = 0;     // mutation slots acked OK
   uint64_t slots_rejected = 0;  // slots failed by their own closure
+                                // or checkpoint
   uint64_t max_group = 0;       // largest group of slots
   uint64_t queue_depth = 0;     // slots waiting right now
   uint64_t wal_records = 0;     // records batch-appended to the WAL
@@ -163,9 +164,20 @@ class SharedStore {
   // opens the store-owned WAL at the recovered generation. Every
   // subsequent commit group is batch-appended to that log before its
   // epoch publishes. Call once, before any concurrent use. Operator
-  // definitions are not persisted (the LooseDb::Open limitation).
+  // definitions are not persisted (see LooseDb::Recover).
   Status OpenDurable(const std::string& path_prefix,
                      const SharedStoreDurability& durability = {});
+
+  // The checkpoint sequence: publishes the tip's snapshot stamped with
+  // the next generation G+1 (atomic rename), then swaps the log to a
+  // fresh G+1 segment and drops the older ones, bounding the replay
+  // work of the next recovery. Each step is individually crash-safe.
+  // Runs under the commit leader, as a slot of its own commit group,
+  // so no group can append between the snapshot and the swap (the swap
+  // would drop its records). The leader also runs it on its own once
+  // checkpoint_bytes of log accumulate. FailedPrecondition when the
+  // store is not durable.
+  Status Checkpoint();
 
   // Pins the current epoch: one shared_ptr copy under a shared lock
   // held for nanoseconds — never across any query work. Hold the
@@ -221,7 +233,9 @@ class SharedStore {
 
   // Durability observability: whether a WAL is attached, what recovery
   // found, and the first append/checkpoint failure since (if any).
-  bool durable() const { return wal_.is_open(); }
+  // durable() reads the prefix, fixed before any concurrent use, not
+  // the log's file handle, which a checkpoint swaps under the leader.
+  bool durable() const { return !save_prefix_.empty(); }
   const RecoveryStats& last_recovery() const { return last_recovery_; }
   Status wal_status() const;
 
@@ -260,6 +274,7 @@ class SharedStore {
   // fills result/epoch, then marks it done under queue_mu_.
   struct CommitSlot {
     const std::function<Status(LooseDb&)>* mutate = nullptr;
+    bool checkpoint = false;  // Checkpoint() after the group publishes
     Status result;
     EpochPtr epoch;
     bool done = false;
@@ -268,7 +283,8 @@ class SharedStore {
   // Commit minus the writer backpressure — the compactor's own publishes
   // must never be throttled by the backlog they are draining.
   StatusOr<EpochPtr> CommitInternal(
-      const std::function<Status(LooseDb&)>& mutate);
+      const std::function<Status(LooseDb&)>& mutate,
+      bool checkpoint = false);
 
   // Leader duties: clone the tip once, apply every slot, batch-log,
   // warm, publish. Fills every slot's result/epoch. Called without
@@ -281,7 +297,15 @@ class SharedStore {
   bool ApplySlots(std::vector<CommitSlot*>* slots,
                   std::unique_ptr<LooseDb>* out_db,
                   std::vector<WalRecord>* out_records, EpochPtr* out_tip);
-  void MaybeCheckpoint(const EpochPtr& tip);
+  // Leader-only: acks every slot of a group whose effects the tip
+  // `epoch` holds, after running the checkpoint sequence when a slot
+  // asks for it or checkpoint_bytes of log have accumulated.
+  void AckGroup(const std::vector<CommitSlot*>& group,
+                const EpochPtr& epoch);
+  // Leader-only: the checkpoint sequence against `tip`, which must hold
+  // every record the log has appended. A failure is latched in
+  // wal_error_ and delays the next attempt; durability is intact.
+  Status WriteCheckpoint(const EpochPtr& tip);
 
   LooseDbOptions options_;
   mutable std::shared_mutex tip_mu_;  // guards the published_ pointer only

@@ -63,7 +63,7 @@ struct CompactionShape {
   size_t overlay_bytes = 0;  // total overlay bytes
 };
 
-// Point-in-time sample for the `stats` surfaces (lsd_shell, STATS verb).
+// Point-in-time sample for the `stats` verb.
 struct CompactionStats {
   bool running = false;            // merge thread alive
   bool merging = false;            // a merge cycle in flight right now

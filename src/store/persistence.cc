@@ -64,45 +64,34 @@ class Writer {
   bool ok_ = true;
 };
 
+// Bounded reader over an in-memory buffer: every read is checked
+// against the bytes that remain, so a hostile length or count can
+// neither overrun the buffer nor size an allocation past it.
 class Reader {
  public:
-  explicit Reader(std::FILE* f) : f_(f) {}
+  Reader(const char* data, size_t size) : p_(data), end_(data + size) {}
 
   bool U8(uint8_t* v) { return Raw(v, 1); }
   bool U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
   bool U64(uint64_t* v) { return Raw(v, sizeof(*v)); }
   bool Str(std::string* s) {
     uint32_t n;
-    if (!U32(&n)) return false;
-    if (n > kMaxRecordBytes) return false;  // corrupt length guard
-    s->resize(n);
-    return n == 0 || Raw(s->data(), n);
-  }
-  bool Raw(void* data, size_t n) {
-    if (std::fread(data, 1, n, f_) != n) return false;
-    crc_ = Crc32cExtend(crc_, data, n);
+    if (!U32(&n) || n > remaining()) return false;
+    s->assign(p_, n);
+    p_ += n;
     return true;
   }
-  // Reads the stored trailer checksum and compares it to the running
-  // sum accumulated so far.
-  bool Trailer() {
-    uint32_t expected = crc_;
-    uint32_t stored;
-    if (std::fread(&stored, 1, sizeof(stored), f_) != sizeof(stored)) {
-      return false;
-    }
-    return stored == expected;
+  bool Raw(void* data, size_t n) {
+    if (n > remaining()) return false;
+    std::memcpy(data, p_, n);
+    p_ += n;
+    return true;
   }
-  bool AtEof() {
-    int c = std::fgetc(f_);
-    if (c == EOF) return true;
-    std::ungetc(c, f_);
-    return false;
-  }
+  size_t remaining() const { return static_cast<size_t>(end_ - p_); }
 
  private:
-  std::FILE* f_;
-  uint32_t crc_ = 0;
+  const char* p_;
+  const char* end_;
 };
 
 // In-memory record encoder: a WAL record is staged in full, then
@@ -332,79 +321,116 @@ Status LoadSnapshot(const std::string& path, FactStore* store,
     return Status::FailedPrecondition(
         "LoadSnapshot requires a freshly constructed store");
   }
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) {
-    return Status::IoError("cannot open " + path);
+  std::string bytes;
+  {
+    FilePtr f(std::fopen(path.c_str(), "rb"));
+    if (f == nullptr) {
+      return Status::IoError("cannot open " + path);
+    }
+    char buf[1 << 16];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f.get())) > 0) {
+      bytes.append(buf, n);
+    }
+    if (std::ferror(f.get())) return Status::IoError("cannot read " + path);
   }
-  Reader r(f.get());
-  char magic[8];
-  if (!r.Raw(magic, sizeof(magic)) ||
-      std::memcmp(magic, kSnapshotMagic, sizeof(magic)) != 0) {
+  // Verify, then decode. The trailer authenticates every byte before
+  // it; a snapshot that fails it is rejected wholesale, before any of
+  // it reaches `store` (bit rot in the middle of the entity table
+  // silently renames entities — worse than an error).
+  constexpr size_t kTrailerBytes = sizeof(uint32_t);
+  if (bytes.size() < sizeof(kSnapshotMagic) + kTrailerBytes ||
+      std::memcmp(bytes.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) !=
+          0) {
     return Status::DataLoss(path + " is not an lsd snapshot");
   }
-  uint64_t gen;
-  if (!r.U64(&gen)) return Status::DataLoss("truncated snapshot");
-  if (generation != nullptr) *generation = gen;
+  const size_t body = bytes.size() - kTrailerBytes;
+  uint32_t stored_crc;
+  std::memcpy(&stored_crc, bytes.data() + body, kTrailerBytes);
+  if (Crc32cExtend(0, bytes.data(), body) != stored_crc) {
+    return Status::DataLoss(path + " failed its checksum");
+  }
 
+  // Decode into locals; every count is bounded by the bytes left (an
+  // entity takes at least 5, a fact 12, a rule 5).
+  Reader r(bytes.data() + sizeof(kSnapshotMagic),
+           body - sizeof(kSnapshotMagic));
+  uint64_t gen;
   uint32_t entity_count;
-  if (!r.U32(&entity_count)) return Status::DataLoss("truncated snapshot");
-  EntityTable& entities = store->entities();
-  entities.Reserve(entity_count);
-  for (uint32_t i = 0; i < entity_count; ++i) {
-    uint8_t kind;
-    std::string name;
+  if (!r.U64(&gen) || !r.U32(&entity_count)) {
+    return Status::DataLoss("truncated snapshot");
+  }
+  if (entity_count > r.remaining() / 5) {
+    return Status::DataLoss("snapshot entity count exceeds its size");
+  }
+  std::vector<std::pair<uint8_t, std::string>> names(entity_count);
+  for (auto& [kind, name] : names) {
     if (!r.U8(&kind) || !r.Str(&name)) {
       return Status::DataLoss("truncated snapshot entity table");
     }
-    EntityId id =
-        static_cast<EntityKind>(kind) == EntityKind::kComposed
-            ? entities.InternComposed(name)
-            : entities.Intern(name);
+  }
+  uint64_t fact_count;
+  if (!r.U64(&fact_count)) return Status::DataLoss("truncated snapshot");
+  if (fact_count > r.remaining() / 12) {
+    return Status::DataLoss("snapshot fact count exceeds its size");
+  }
+  std::vector<Fact> facts(fact_count);
+  for (Fact& fact : facts) {
+    if (!r.U32(&fact.source) || !r.U32(&fact.relationship) ||
+        !r.U32(&fact.target)) {
+      return Status::DataLoss("truncated snapshot facts");
+    }
+    if (fact.source >= entity_count || fact.relationship >= entity_count ||
+        fact.target >= entity_count) {
+      return Status::DataLoss("snapshot fact names an entity id past "
+                              "its entity table");
+    }
+  }
+  uint32_t rule_count;
+  if (!r.U32(&rule_count)) return Status::DataLoss("truncated snapshot");
+  if (rule_count > r.remaining() / 5) {
+    return Status::DataLoss("snapshot rule count exceeds its size");
+  }
+  std::vector<std::pair<std::string, uint8_t>> rule_texts(rule_count);
+  for (auto& [text, enabled] : rule_texts) {
+    if (!r.Str(&text) || !r.U8(&enabled)) {
+      return Status::DataLoss("truncated snapshot rules");
+    }
+  }
+  if (r.remaining() != 0) {
+    return Status::DataLoss("snapshot has bytes past its rules");
+  }
+
+  EntityTable& entities = store->entities();
+  entities.Reserve(entity_count);
+  for (uint32_t i = 0; i < entity_count; ++i) {
+    const auto& [kind, name] = names[i];
+    EntityId id = static_cast<EntityKind>(kind) == EntityKind::kComposed
+                      ? entities.InternComposed(name)
+                      : entities.Intern(name);
     if (id != i) {
       return Status::DataLoss("snapshot entity order mismatch at id " +
                               std::to_string(i) + " ('" + name + "')");
     }
   }
-
-  uint64_t fact_count;
-  if (!r.U64(&fact_count)) return Status::DataLoss("truncated snapshot");
-  for (uint64_t i = 0; i < fact_count; ++i) {
-    Fact fact;
-    if (!r.U32(&fact.source) || !r.U32(&fact.relationship) ||
-        !r.U32(&fact.target)) {
-      return Status::DataLoss("truncated snapshot facts");
-    }
-    store->Assert(fact);
-  }
-
-  uint32_t rule_count;
-  if (!r.U32(&rule_count)) return Status::DataLoss("truncated snapshot");
+  for (const Fact& fact : facts) store->Assert(fact);
   std::vector<Rule> parsed;
-  for (uint32_t i = 0; i < rule_count; ++i) {
-    std::string text;
-    uint8_t enabled;
-    if (!r.Str(&text) || !r.U8(&enabled)) {
-      return Status::DataLoss("truncated snapshot rules");
-    }
+  for (const auto& [text, enabled] : rule_texts) {
     // Rules are stored in .lsd text; strip the keyword and re-parse.
     RuleKind kind = RuleKind::kInference;
-    std::string_view body = text;
-    if (body.rfind("integrity ", 0) == 0) {
+    std::string_view rule_body = text;
+    if (rule_body.rfind("integrity ", 0) == 0) {
       kind = RuleKind::kIntegrity;
-      body = body.substr(10);
-    } else if (body.rfind("rule ", 0) == 0) {
-      body = body.substr(5);
+      rule_body = rule_body.substr(10);
+    } else if (rule_body.rfind("rule ", 0) == 0) {
+      rule_body = rule_body.substr(5);
     }
-    LSD_ASSIGN_OR_RETURN(Rule rule, ParseRuleLine(body, kind, &entities));
+    LSD_ASSIGN_OR_RETURN(Rule rule,
+                         ParseRuleLine(rule_body, kind, &entities));
     rule.enabled = (enabled != 0);
     parsed.push_back(std::move(rule));
   }
-  // The trailer authenticates everything above; a snapshot that fails
-  // it must be rejected wholesale (bit rot in the middle of the entity
-  // table silently renames entities — worse than an error).
-  if (!r.Trailer()) {
-    return Status::DataLoss(path + " failed its checksum");
-  }
+  if (generation != nullptr) *generation = gen;
   if (rules != nullptr) {
     for (Rule& rule : parsed) rules->push_back(std::move(rule));
   }

@@ -83,7 +83,7 @@ struct WalOptions {
 };
 
 // What recovery found and what it had to do. Returned by Wal::Replay
-// (and surfaced by LooseDb::Open / last_recovery()).
+// (and surfaced by LooseDb::Recover / SharedStore::last_recovery()).
 struct RecoveryStats {
   bool snapshot_loaded = false;
   uint64_t generation = 0;         // checkpoint generation recovered at
@@ -185,8 +185,9 @@ class Wal {
   // The checkpoint generation stamped into newly created segments.
   uint64_t generation() const { return generation_; }
   // Bytes of record data appended to current-generation segments (the
-  // auto-checkpoint trigger; resets on BeginGeneration).
-  uint64_t generation_bytes() const { return generation_bytes_; }
+  // auto-checkpoint trigger; resets on BeginGeneration). Atomic so a
+  // stats reader can sample it while the writer appends.
+  uint64_t generation_bytes() const { return generation_bytes_.load(); }
 
   // Mutation records. Each call appends and flushes one record. Any
   // append failure (real or injected) poisons the log: the active
@@ -280,7 +281,7 @@ class Wal {
   uint64_t generation_ = 0;
   uint64_t segment_seq_ = 0;
   uint64_t segment_bytes_written_ = 0;  // active segment size
-  uint64_t generation_bytes_ = 0;
+  std::atomic<uint64_t> generation_bytes_{0};
   bool poisoned_ = false;
   std::atomic<uint64_t> appended_records_{0};
   std::atomic<uint64_t> append_batches_{0};

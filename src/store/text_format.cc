@@ -183,8 +183,8 @@ StatusOr<Rule> ParseRuleLine(std::string_view line, RuleKind kind,
   return rule;
 }
 
-Status ParseText(std::string_view text, FactStore* store,
-                 std::vector<Rule>* rules,
+Status ParseText(std::string_view text, EntityTable* entities,
+                 std::vector<Fact>* facts, std::vector<Rule>* rules,
                  DefinitionRegistry* definitions) {
   size_t line_no = 0;
   for (std::string_view raw : Split(text, '\n')) {
@@ -201,10 +201,10 @@ Status ParseText(std::string_view text, FactStore* store,
       auto groups = SplitTemplates(line);
       if (!groups.ok()) return fail(groups.status());
       for (std::string_view g : *groups) {
-        auto tmpl = ParseTemplateGroup(g, &store->entities(), &names,
-                                       &constraints, false);
+        auto tmpl =
+            ParseTemplateGroup(g, entities, &names, &constraints, false);
         if (!tmpl.ok()) return fail(tmpl.status());
-        store->Assert(tmpl->Substitute(Binding(0)));
+        facts->push_back(tmpl->Substitute(Binding(0)));
       }
       continue;
     }
@@ -212,7 +212,7 @@ Status ParseText(std::string_view text, FactStore* store,
     if (StartsWith(lowered, "@class")) {
       std::string_view name = StripWhitespace(line.substr(6));
       if (name.empty()) return fail(Status::ParseError("@class needs a name"));
-      store->MarkClassRelationship(store->entities().Intern(name));
+      facts->push_back(Fact(entities->Intern(name), kEntIn, kEntClassRel));
       continue;
     }
     if (StartsWith(lowered, "define ")) {
@@ -220,7 +220,7 @@ Status ParseText(std::string_view text, FactStore* store,
         return fail(Status::ParseError(
             "definitions are not accepted in this context"));
       }
-      Status s = definitions->Define(line.substr(7), &store->entities());
+      Status s = definitions->Define(line.substr(7), entities);
       if (!s.ok()) return fail(s);
       continue;
     }
@@ -236,15 +236,15 @@ Status ParseText(std::string_view text, FactStore* store,
       return fail(Status::ParseError("unrecognized statement: " +
                                      std::string(line)));
     }
-    auto rule = ParseRuleLine(rest, kind, &store->entities());
+    auto rule = ParseRuleLine(rest, kind, entities);
     if (!rule.ok()) return fail(rule.status());
     if (rules != nullptr) rules->push_back(std::move(*rule));
   }
   return Status::OK();
 }
 
-Status LoadTextFile(const std::string& path, FactStore* store,
-                    std::vector<Rule>* rules,
+Status LoadTextFile(const std::string& path, EntityTable* entities,
+                    std::vector<Fact>* facts, std::vector<Rule>* rules,
                     DefinitionRegistry* definitions) {
   std::ifstream in(path);
   if (!in) {
@@ -252,7 +252,7 @@ Status LoadTextFile(const std::string& path, FactStore* store,
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  return ParseText(buffer.str(), store, rules, definitions);
+  return ParseText(buffer.str(), entities, facts, rules, definitions);
 }
 
 std::string SerializeFacts(const FactStore& store) {

@@ -30,17 +30,20 @@ namespace lsd {
 StatusOr<Rule> ParseRuleLine(std::string_view line, RuleKind kind,
                              EntityTable* entities);
 
-// Parses a whole .lsd document, asserting facts into `store` and
-// appending rules to `rules`. Lines of the form
-// "define name(?P) := formula" are installed into `definitions` when it
-// is non-null (else rejected). Errors carry 1-based line numbers.
-Status ParseText(std::string_view text, FactStore* store,
-                 std::vector<Rule>* rules,
+// Parses a whole .lsd document, interning every name into `entities`.
+// Facts and @class marks (as their (R, IN, CLASS-REL) facts) are
+// appended to `facts` and asserted nowhere, so the caller routes them
+// through its own mutation path; rules are appended to `rules` (when
+// non-null). Lines of the form "define name(?P) := formula" are
+// installed into `definitions` when it is non-null (else rejected).
+// Errors carry 1-based line numbers.
+Status ParseText(std::string_view text, EntityTable* entities,
+                 std::vector<Fact>* facts, std::vector<Rule>* rules,
                  DefinitionRegistry* definitions = nullptr);
 
 // Reads and parses a .lsd file.
-Status LoadTextFile(const std::string& path, FactStore* store,
-                    std::vector<Rule>* rules,
+Status LoadTextFile(const std::string& path, EntityTable* entities,
+                    std::vector<Fact>* facts, std::vector<Rule>* rules,
                     DefinitionRegistry* definitions = nullptr);
 
 // Renders all asserted facts, one per line, in SRT order.

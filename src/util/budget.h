@@ -14,8 +14,8 @@
 // across threads.
 //
 // A null budget pointer means "ungoverned" everywhere and costs one
-// branch per stride at most; all existing single-user paths (lsd_shell,
-// library embedding) pass nullptr and behave exactly as before.
+// branch per stride at most; library embedding passes nullptr, and the
+// shell only arms a budget under `timeout N`.
 #ifndef LSD_UTIL_BUDGET_H_
 #define LSD_UTIL_BUDGET_H_
 

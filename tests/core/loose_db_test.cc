@@ -1,7 +1,5 @@
 #include "core/loose_db.h"
 
-#include <filesystem>
-
 #include <gtest/gtest.h>
 
 namespace lsd {
@@ -99,73 +97,6 @@ TEST(LooseDbTest, LoadTextInstallsFactsAndRules) {
   EXPECT_TRUE(r->truth);
 }
 
-class LooseDbPersistenceTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("lsd_db_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-    prefix_ = (dir_ / "db").string();
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  std::filesystem::path dir_;
-  std::string prefix_;
-};
-
-TEST_F(LooseDbPersistenceTest, SaveOpenRoundTrip) {
-  {
-    LooseDb db;
-    db.Assert("JOHN", "WORKS-FOR", "SHIPPING");
-    ASSERT_TRUE(
-        db.DefineRule("pay: (?X, IN, EMPLOYEE) => (?X, EARNS, SALARY)")
-            .ok());
-    ASSERT_TRUE(db.Save(prefix_).ok());
-    // Mutations after Save land in the WAL.
-    db.Assert("JOHN", "IN", "EMPLOYEE");
-  }
-  LooseDb restored;
-  Status s = restored.Open(prefix_);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  auto r = restored.Query("(JOHN, EARNS, SALARY)");
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->truth);  // needs the snapshot rule + the WAL fact
-  auto r2 = restored.Query("(JOHN, WORKS-FOR, SHIPPING)");
-  ASSERT_TRUE(r2.ok());
-  EXPECT_TRUE(r2->truth);
-}
-
-TEST_F(LooseDbPersistenceTest, OpenWithoutFilesStartsEmptyAndLogs) {
-  {
-    LooseDb db;
-    ASSERT_TRUE(db.Open(prefix_).ok());
-    db.Assert("A", "R", "B");
-  }
-  LooseDb again;
-  ASSERT_TRUE(again.Open(prefix_).ok());
-  auto r = again.Query("(A, R, B)");
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->truth);
-}
-
-TEST_F(LooseDbPersistenceTest, RetractionsSurviveRestart) {
-  {
-    LooseDb db;
-    ASSERT_TRUE(db.Open(prefix_).ok());
-    Fact f = db.Assert("A", "R", "B");
-    db.Assert("C", "R", "D");
-    db.Retract(f);
-  }
-  LooseDb again;
-  ASSERT_TRUE(again.Open(prefix_).ok());
-  EXPECT_FALSE(again.Query("(A, R, B)")->truth);
-  EXPECT_TRUE(again.Query("(C, R, D)")->truth);
-}
-
 TEST(LooseDbMemoryTest, ReportsPerTierBytes) {
   LooseDb db;
   db.Assert("JOHN", "WORKS-FOR", "SHIPPING");
@@ -184,20 +115,6 @@ TEST(LooseDbMemoryTest, ReportsPerTierBytes) {
   // Columnar CSR beats three sorted Fact arrays on the same fact set.
   EXPECT_LT(mem->base.total(),
             3 * sizeof(Fact) * db.store().size() + 4096);
-}
-
-TEST_F(LooseDbPersistenceTest, RuleTogglesSurviveRestart) {
-  {
-    LooseDb db;
-    ASSERT_TRUE(db.Open(prefix_).ok());
-    db.Assert("JOHN", "IN", "EMPLOYEE");
-    db.Assert("EMPLOYEE", "WORKS-FOR", "DEPARTMENT");
-    ASSERT_TRUE(db.SetRuleEnabled("mem-source", false).ok());
-  }
-  LooseDb again;
-  ASSERT_TRUE(again.Open(prefix_).ok());
-  EXPECT_FALSE(again.IsRuleEnabled("mem-source"));
-  EXPECT_FALSE(again.Query("(JOHN, WORKS-FOR, DEPARTMENT)")->truth);
 }
 
 }  // namespace

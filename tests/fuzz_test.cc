@@ -55,13 +55,14 @@ TEST_P(FuzzTest, QueryParserNeverCrashes) {
 TEST_P(FuzzTest, TextFormatParserNeverCrashes) {
   Rng rng(GetParam() + 1000);
   for (int i = 0; i < 100; ++i) {
-    FactStore store;
+    EntityTable entities;
+    std::vector<Fact> facts;
     std::vector<Rule> rules;
     DefinitionRegistry definitions;
     std::string input =
         rng.Bernoulli(0.5) ? RandomBytes(rng, 200)
                            : RandomPrintable(rng, 200);
-    (void)ParseText(input, &store, &rules, &definitions);
+    (void)ParseText(input, &entities, &facts, &rules, &definitions);
   }
 }
 
@@ -79,10 +80,11 @@ TEST_P(FuzzTest, MutatedValidDocumentParsesOrErrors) {
       mutated[rng.Uniform(mutated.size())] =
           static_cast<char>(rng.Uniform(256));
     }
-    FactStore store;
+    EntityTable entities;
+    std::vector<Fact> facts;
     std::vector<Rule> rules;
     DefinitionRegistry definitions;
-    (void)ParseText(mutated, &store, &rules, &definitions);
+    (void)ParseText(mutated, &entities, &facts, &rules, &definitions);
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/loose_db.h"
+#include "server/shared_store.h"
 #include "workload/music_domain.h"
 #include "workload/org_domain.h"
 #include "workload/university_domain.h"
@@ -106,13 +107,28 @@ TEST(IntegrationTest, BrowsedDatabaseSurvivesPersistence) {
   std::filesystem::create_directories(dir);
   std::string prefix = (dir / "music").string();
   {
-    LooseDb db;
-    workload::BuildMusicDomain(&db);
-    ASSERT_TRUE(db.Save(prefix).ok());
-    db.Assert("JOHN", "LIKES", "OPERA");  // post-snapshot WAL record
+    SharedStore store;
+    ASSERT_TRUE(store.OpenDurable(prefix).ok());
+    ASSERT_TRUE(store
+                    .Commit([](LooseDb& db) {
+                      workload::BuildMusicDomain(&db);
+                      return Status::OK();
+                    })
+                    .ok());
+    ASSERT_TRUE(store.Checkpoint().ok());
+    // One record past the checkpoint, so recovery replays the log too.
+    ASSERT_TRUE(store
+                    .Commit([](LooseDb& db) {
+                      db.Assert("JOHN", "LIKES", "OPERA");
+                      return Status::OK();
+                    })
+                    .ok());
   }
-  LooseDb db;
-  ASSERT_TRUE(db.Open(prefix).ok());
+  SharedStore store;
+  ASSERT_TRUE(store.OpenDurable(prefix).ok());
+  EXPECT_TRUE(store.last_recovery().snapshot_loaded);
+  EXPECT_EQ(store.last_recovery().records_replayed, 1u);
+  LooseDb& db = store.snapshot()->db();
   auto hood = db.Navigate("JOHN");
   ASSERT_TRUE(hood.ok());
   auto assocs = db.Associations("JOHN", "MOZART");

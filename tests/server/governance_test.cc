@@ -216,15 +216,61 @@ TEST(GovernanceShedTest, DegradedShedsExpensiveKeepsCheap) {
   EXPECT_TRUE(session->Execute("session").ok());
 
   // Leaving DEGRADED restores the expensive query's right to run (and
-  // to be killed by its own deadline instead).
+  // to be killed by its own budget instead). A step cap, not a
+  // deadline: the poison's 64^3 enumerations trip it however fast the
+  // build runs.
   governance.degraded.store(false);
-  QueryBudget budget(std::chrono::milliseconds(50));
+  QueryBudget budget(QueryBudget::Clock::time_point::max(),
+                     /*max_steps=*/50'000);
   session->set_request_budget(&budget);
   auto governed = session->Execute(kPoison);
   session->set_request_budget(nullptr);
   ASSERT_FALSE(governed.ok());
-  EXPECT_TRUE(governed.status().IsDeadlineExceeded())
+  EXPECT_TRUE(governed.status().IsResourceExhausted())
       << governed.status().ToString();
+}
+
+// ExecuteRequest is the governed-request sequence every front end runs
+// (the server's worker, the shell under `timeout N`): it charges the
+// budget's steps to the session and counts a failure as a cancellation
+// only when the budget caused it.
+TEST(GovernanceSessionTest, ExecuteRequestCountsOnlyBudgetFailures) {
+  SharedStore store;
+  SeedCampus(&store);
+  SeedPoisonGraph(&store, /*layer=*/64);
+  SessionRegistry registry(&store);
+  GovernanceState governance;
+  registry.set_governance(&governance);
+  auto session = registry.Create(8);
+  ASSERT_NE(session, nullptr);
+
+  QueryBudget capped(QueryBudget::Clock::time_point::max(),
+                     /*max_steps=*/50'000);
+  auto poison = session->ExecuteRequest(kPoison, /*mutation=*/false, &capped);
+  ASSERT_FALSE(poison.ok());
+  EXPECT_TRUE(poison.status().IsResourceExhausted())
+      << poison.status().ToString();
+  EXPECT_EQ(governance.cancelled_budget.load(), 1u);
+  EXPECT_EQ(session->steps_used(), capped.steps());
+  EXPECT_GT(session->steps_used(), 0u);
+
+  // An expired budget refuses a governed read before any work...
+  QueryBudget expired(QueryBudget::Clock::time_point::max());
+  expired.Cancel(CancelReason::kDeadline);
+  auto refused = session->ExecuteRequest("query (TOM, ENROLLED-IN, ?C)",
+                                         /*mutation=*/false, &expired);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsDeadlineExceeded())
+      << refused.status().ToString();
+  EXPECT_EQ(governance.cancelled_deadline.load(), 1u);
+  // ...but a command failing for its own reason is not a cancellation,
+  // however the budget stands.
+  auto unknown =
+      session->ExecuteRequest("frobnicate", /*mutation=*/false, &expired);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument)
+      << unknown.status().ToString();
+  EXPECT_EQ(governance.total_cancelled(), 2u);
 }
 
 // The property test from the issue: a cancelled evaluation must leave
@@ -493,7 +539,9 @@ TEST_F(GovernanceTest, PoisonQueriesDoNotStarveCheapProbes) {
   // paced probe pass against the loaded server.
   std::vector<std::thread> attackers;
   std::vector<std::chrono::milliseconds> poison_ms(4);
-  std::vector<bool> poison_killed(4, false);
+  // Not vector<bool>: its elements share a word, so the attackers'
+  // writes would race.
+  std::vector<char> poison_killed(4, false);
   for (int p = 0; p < 4; ++p) {
     attackers.emplace_back([this, p, &poison_ms, &poison_killed] {
       TextClient attacker(server_->port());

@@ -1,13 +1,19 @@
 #include "server/shared_store.h"
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "server/session.h"
 #include "workload/university_domain.h"
 
 namespace lsd {
@@ -351,6 +357,252 @@ TEST(SharedStoreTest, FailingSlotDoesNotPoisonItsGroup) {
   // group, so coalescing really happened.
   EXPECT_GE(stats.max_group, 2u);
   EXPECT_LE(stats.groups, 2u);
+}
+
+// ---- Rule-only commits ----------------------------------------------------
+
+// Runs one command line through a session; the output, or "! <status>".
+std::string Exec(SharedStore* store, const std::string& line) {
+  ServerSession session(1, store);
+  auto out = session.Execute(line);
+  return out.ok() ? *out : "! " + out.status().ToString();
+}
+
+// Truth of a ground proposition on the tip.
+bool Holds(SharedStore* store, const std::string& proposition) {
+  auto r = store->snapshot()->db().Query(proposition);
+  return r.ok() && r->truth;
+}
+
+// A rule-only commit changes no fact: only the rules clock tells the
+// commit path that it is not a no-op, so every step must publish.
+void ExpectRuleOnlyCommitsPublish(SharedStore* store) {
+  const char* kSteps[] = {
+      "rule r1: (?X, R1, ?Y) => (?Y, R1-BACK, ?X)",
+      "rule r2: (?X, R2, ?Y) => (?Y, R2-BACK, ?X)",
+      "exclude r1",
+      "include r1",
+      "exclude r2",
+  };
+  for (const char* step : kSteps) {
+    const uint64_t before = store->snapshot()->sequence();
+    EXPECT_EQ(Exec(store, step).rfind("! ", 0), std::string::npos) << step;
+    EXPECT_EQ(store->snapshot()->sequence(), before + 1) << step;
+  }
+  EpochPtr tip = store->snapshot();
+  EXPECT_TRUE(tip->db().IsRuleEnabled("r1"));
+  EXPECT_FALSE(tip->db().IsRuleEnabled("r2"));
+  EXPECT_NE(Exec(store, "rules").find("[ ] rule r2"), std::string::npos);
+}
+
+TEST(SharedStoreTest, RuleOnlyCommitsPublish) {
+  SharedStore store;
+  ExpectRuleOnlyCommitsPublish(&store);
+}
+
+TEST(SharedStoreTest, CheckpointNeedsADurableStore) {
+  SharedStore store;
+  EXPECT_EQ(store.Checkpoint().code(), StatusCode::kFailedPrecondition);
+}
+
+// ---- Durable stores across restarts ---------------------------------------
+
+class DurableStoreTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("lsd_durable_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    prefix_ = (dir_ / "db").string();
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  // A durable store over prefix_, recovered from whatever is there.
+  std::unique_ptr<SharedStore> Open() {
+    auto store = std::make_unique<SharedStore>();
+    Status s = store->OpenDurable(prefix_);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return store;
+  }
+
+  std::filesystem::path dir_;
+  std::string prefix_;
+};
+
+// The persistence of one database's facts, rules and rule toggles,
+// through the durable store's log and checkpoints.
+class LooseDbPersistenceTest : public DurableStoreTest {};
+
+TEST_F(LooseDbPersistenceTest, SaveOpenRoundTrip) {
+  {
+    LooseDb db;
+    db.Assert("JOHN", "WORKS-FOR", "SHIPPING");
+    ASSERT_TRUE(
+        db.DefineRule("pay: (?X, IN, EMPLOYEE) => (?X, EARNS, SALARY)")
+            .ok());
+    ASSERT_TRUE(db.Save(prefix_).ok());
+  }
+  {
+    // Opening the exported snapshot durably; commits land in the WAL.
+    auto store = Open();
+    EXPECT_TRUE(store->last_recovery().snapshot_loaded);
+    EXPECT_EQ(Exec(store.get(), "assert (JOHN, IN, EMPLOYEE)"), "added\n");
+  }
+  auto restored = Open();
+  EXPECT_EQ(restored->last_recovery().records_replayed, 1u);
+  // Needs the snapshot rule + the WAL fact.
+  EXPECT_TRUE(Holds(restored.get(), "(JOHN, EARNS, SALARY)"));
+  EXPECT_TRUE(Holds(restored.get(), "(JOHN, WORKS-FOR, SHIPPING)"));
+}
+
+TEST_F(LooseDbPersistenceTest, OpenWithoutFilesStartsEmptyAndLogs) {
+  {
+    auto store = Open();
+    EXPECT_FALSE(store->last_recovery().snapshot_loaded);
+    EXPECT_EQ(store->last_recovery().records_replayed, 0u);
+    EXPECT_EQ(Exec(store.get(), "assert (A, R, B)"), "added\n");
+  }
+  auto again = Open();
+  EXPECT_TRUE(Holds(again.get(), "(A, R, B)"));
+}
+
+TEST_F(LooseDbPersistenceTest, RetractionsSurviveRestart) {
+  {
+    auto store = Open();
+    Exec(store.get(), "assert (A, R, B)");
+    Exec(store.get(), "assert (C, R, D)");
+    EXPECT_EQ(Exec(store.get(), "retract (A, R, B)"), "removed\n");
+  }
+  auto again = Open();
+  EXPECT_FALSE(Holds(again.get(), "(A, R, B)"));
+  EXPECT_TRUE(Holds(again.get(), "(C, R, D)"));
+}
+
+TEST_F(LooseDbPersistenceTest, RuleTogglesSurviveRestart) {
+  {
+    auto store = Open();
+    Exec(store.get(), "assert* (JOHN, IN, EMPLOYEE) "
+                      "(EMPLOYEE, WORKS-FOR, DEPARTMENT)");
+    EXPECT_EQ(Exec(store.get(), "exclude mem-source"), "excluded\n");
+  }
+  auto again = Open();
+  EXPECT_FALSE(again->snapshot()->db().IsRuleEnabled("mem-source"));
+  EXPECT_FALSE(Holds(again.get(), "(JOHN, WORKS-FOR, DEPARTMENT)"));
+}
+
+TEST_F(DurableStoreTest, RuleOnlyCommitsPublishAfterRecovery) {
+  { auto store = Open(); }  // leaves an empty log behind
+  auto store = Open();
+  ExpectRuleOnlyCommitsPublish(store.get());
+  store.reset();
+  auto again = Open();
+  EXPECT_TRUE(again->snapshot()->db().IsRuleEnabled("r1"));
+  EXPECT_FALSE(again->snapshot()->db().IsRuleEnabled("r2"));
+}
+
+TEST_F(DurableStoreTest, LoadedFactsAndClassMarksAreLogged) {
+  const std::string file = (dir_ / "pay.lsd").string();
+  std::ofstream(file) << "rule pay: (?X, IN, EMPLOYEE) => (?X, EARNS, SALARY)\n"
+                         "(JOHN, IN, EMPLOYEE)\n"
+                         "@class HEADCOUNT\n";
+  {
+    auto store = Open();
+    EXPECT_EQ(Exec(store.get(), "load " + file), "loaded\n");
+    ASSERT_TRUE(store
+                    ->Commit([](LooseDb& db) {
+                      db.MarkClassRelationship("PAYROLL");
+                      return Status::OK();
+                    })
+                    .ok());
+  }
+  auto again = Open();
+  EXPECT_TRUE(Holds(again.get(), "(JOHN, EARNS, SALARY)"));
+  EXPECT_TRUE(Holds(again.get(), "(HEADCOUNT, IN, CLASS-REL)"));
+  EXPECT_TRUE(Holds(again.get(), "(PAYROLL, IN, CLASS-REL)"));
+}
+
+TEST_F(DurableStoreTest, CheckpointBoundsReplay) {
+  {
+    auto store = Open();
+    Exec(store.get(), "assert (A, R, B)");
+    const EpochPtr tip = store->snapshot();
+    EXPECT_EQ(Exec(store.get(), "checkpoint"),
+              "checkpointed at generation 1\n");
+    EXPECT_EQ(store->snapshot(), tip);  // a checkpoint publishes nothing
+    Exec(store.get(), "assert (C, R, D)");
+  }
+  for (const WalSegmentInfo& seg : Wal::Inventory(prefix_ + ".wal")) {
+    EXPECT_EQ(seg.generation, 1u) << seg.path;  // older ones dropped
+  }
+  auto again = Open();
+  EXPECT_TRUE(again->last_recovery().snapshot_loaded);
+  EXPECT_EQ(again->last_recovery().generation, 1u);
+  EXPECT_EQ(again->last_recovery().records_replayed, 1u);
+  EXPECT_TRUE(Holds(again.get(), "(A, R, B)"));
+  EXPECT_TRUE(Holds(again.get(), "(C, R, D)"));
+}
+
+// Checkpoints ride the commit queue, so one racing a stream of writers
+// never drops a group between its snapshot and its generation swap.
+TEST_F(DurableStoreTest, CheckpointsRacingWritersLoseNothing) {
+  constexpr int kWriters = 3;
+  constexpr int kCommitsPerWriter = 40;
+  {
+    auto store = Open();
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kWriters; ++w) {
+      threads.emplace_back([&store, w] {
+        for (int i = 0; i < kCommitsPerWriter; ++i) {
+          const std::string name =
+              "W" + std::to_string(w) + "-" + std::to_string(i);
+          EXPECT_TRUE(store
+                          ->Commit([&name](LooseDb& db) {
+                            db.Assert(name, "MARKS", "DONE");
+                            return Status::OK();
+                          })
+                          .ok());
+        }
+      });
+    }
+    threads.emplace_back([&store] {
+      for (int i = 0; i < 10; ++i) EXPECT_TRUE(store->Checkpoint().ok());
+    });
+    for (std::thread& t : threads) t.join();
+    EXPECT_TRUE(store->wal_status().ok()) << store->wal_status().ToString();
+  }
+  auto again = Open();
+  auto r = again->snapshot()->db().Query("(?W, MARKS, DONE)");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->rows.size(), size_t{kWriters * kCommitsPerWriter});
+}
+
+// `save` exports; it must never write over the store's own snapshot,
+// where recovery would replay the whole log on top of it.
+TEST_F(DurableStoreTest, SaveNeverTargetsTheLoggedPrefix) {
+  const std::string exported = (dir_ / "export").string();
+  {
+    auto store = Open();
+    Exec(store.get(), "rule pay: (?X, IN, EMPLOYEE) => (?X, EARNS, SALARY)");
+    Exec(store.get(), "assert (JOHN, IN, EMPLOYEE)");
+    EXPECT_NE(Exec(store.get(), "save").find("InvalidArgument"),
+              std::string::npos);
+    EXPECT_NE(Exec(store.get(), "save " + prefix_).find("'checkpoint'"),
+              std::string::npos);
+    EXPECT_EQ(Exec(store.get(), "save " + exported),
+              "saved " + exported + ".snap\n");
+    EXPECT_FALSE(store->snapshot()->db().Save(prefix_).ok());
+  }
+  EXPECT_TRUE(std::filesystem::exists(exported + ".snap"));
+  auto again = Open();
+  size_t pay_rules = 0;
+  for (const Rule& r : again->snapshot()->db().rules()) {
+    if (r.name == "pay") ++pay_rules;
+  }
+  EXPECT_EQ(pay_rules, 1u);
+  Exec(again.get(), "exclude pay");
+  EXPECT_FALSE(Holds(again.get(), "(JOHN, EARNS, SALARY)"));
 }
 
 }  // namespace

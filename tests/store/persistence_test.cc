@@ -1,11 +1,13 @@
 #include "store/persistence.h"
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include <gtest/gtest.h>
 
 #include "store/text_format.h"
+#include "util/crc32c.h"
 #include "util/failpoint.h"
 
 namespace lsd {
@@ -72,9 +74,10 @@ TEST_F(PersistenceTest, SnapshotRoundTrip) {
   std::vector<Rule> rules;
   store.Assert("JOHN", "WORKS-FOR", "SHIPPING");
   store.Assert("SHIPPING", "IN", "DEPARTMENT");
+  std::vector<Fact> no_facts;
   ASSERT_TRUE(ParseText("rule pay: (?X, IN, EMPLOYEE) => (?X, EARNS, "
                         "SALARY)\n",
-                        &store, &rules)
+                        &store.entities(), &no_facts, &rules)
                   .ok());
   rules[0].enabled = false;
 
@@ -154,6 +157,47 @@ TEST_F(PersistenceTest, SnapshotChecksumCatchesEveryByteFlip) {
   }
 }
 
+// Checksums catch damage, not a crafted file: a snapshot with a valid
+// trailer whose fact names an entity id past its own entity table must
+// be rejected before anything reaches the store.
+TEST_F(PersistenceTest, SnapshotRejectsFactIdsPastItsEntityTable) {
+  FactStore store;
+  store.Assert("ALPHA", "REL", "BETA");
+  ASSERT_TRUE(SaveSnapshot(Path("ids.snap"), store, {}).ok());
+  std::string bytes = ReadAll(Path("ids.snap"));
+  // With no rules the file ends [fact: 3 x u32][rule count][crc].
+  ASSERT_GE(bytes.size(), 20u);
+  const uint32_t past_end = static_cast<uint32_t>(store.entities().size());
+  std::memcpy(&bytes[bytes.size() - 20], &past_end, sizeof(past_end));
+  const uint32_t crc = Crc32cExtend(0, bytes.data(), bytes.size() - 4);
+  std::memcpy(&bytes[bytes.size() - 4], &crc, sizeof(crc));
+  WriteAll(Path("ids.snap"), bytes);
+
+  FactStore loaded;
+  Status s = LoadSnapshot(Path("ids.snap"), &loaded, nullptr);
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+  EXPECT_EQ(loaded.size(), 0u);
+  EXPECT_EQ(loaded.entities().size(), size_t{kNumBuiltinEntities});
+}
+
+// A count field is bounded by the bytes that remain: a huge entity
+// count with a valid trailer is an error, never an allocation.
+TEST_F(PersistenceTest, SnapshotCountsAreBoundedByItsSize) {
+  std::string bytes = "LSDSNAP2";
+  const uint64_t generation = 0;
+  const uint32_t entity_count = 0xFFFFFFF0u;
+  bytes.append(reinterpret_cast<const char*>(&generation), 8);
+  bytes.append(reinterpret_cast<const char*>(&entity_count), 4);
+  const uint32_t crc = Crc32cExtend(0, bytes.data(), bytes.size());
+  bytes.append(reinterpret_cast<const char*>(&crc), 4);
+  WriteAll(Path("huge.snap"), bytes);
+
+  FactStore loaded;
+  Status s = LoadSnapshot(Path("huge.snap"), &loaded, nullptr);
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+  EXPECT_EQ(loaded.entities().size(), size_t{kNumBuiltinEntities});
+}
+
 TEST_F(PersistenceTest, WalReplayAppliesMutations) {
   {
     FactStore store;
@@ -183,9 +227,10 @@ TEST_F(PersistenceTest, WalReplayAppliesMutations) {
 TEST_F(PersistenceTest, WalReplayHandlesRulesAndToggles) {
   FactStore store;
   std::vector<Rule> rules;
+  std::vector<Fact> no_facts;
   ASSERT_TRUE(ParseText("rule pay: (?X, IN, EMPLOYEE) => (?X, EARNS, "
                         "SALARY)\n",
-                        &store, &rules)
+                        &store.entities(), &no_facts, &rules)
                   .ok());
   {
     Wal wal;

@@ -5,24 +5,36 @@
 namespace lsd {
 namespace {
 
+// Asserts the facts ParseText returns, as LooseDb's load path does.
+Status ParseInto(std::string_view text, FactStore* store,
+                 std::vector<Rule>* rules) {
+  std::vector<Fact> facts;
+  LSD_RETURN_IF_ERROR(ParseText(text, &store->entities(), &facts, rules));
+  for (const Fact& f : facts) store->Assert(f);
+  return Status::OK();
+}
+
 TEST(TextFormatTest, ParsesFactsAndComments) {
-  FactStore store;
+  EntityTable entities;
+  std::vector<Fact> facts;
   Status s = ParseText(
       "# a comment\n"
       "(JOHN, WORKS-FOR, SHIPPING)\n"
       "\n"
       "(SHIPPING, IN, DEPARTMENT)\n",
-      &store, nullptr);
+      &entities, &facts, nullptr);
   ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(store.size(), 2u);
-  auto john = store.entities().Lookup("JOHN");
+  ASSERT_EQ(facts.size(), 2u);
+  auto john = entities.Lookup("JOHN");
   ASSERT_TRUE(john.has_value());
+  EXPECT_EQ(facts[0].source, *john);
+  EXPECT_EQ(facts[1].relationship, kEntIn);
 }
 
 TEST(TextFormatTest, ParsesRules) {
   FactStore store;
   std::vector<Rule> rules;
-  Status s = ParseText(
+  Status s = ParseInto(
       "rule pay: (?X, IN, EMPLOYEE) => (?X, EARNS, SALARY)\n"
       "integrity pos: (?X, IN, AGE-VALUE) => (?X, >, 0)\n",
       &store, &rules);
@@ -38,7 +50,7 @@ TEST(TextFormatTest, ParsesRules) {
 TEST(TextFormatTest, ParsesWhereConstraints) {
   FactStore store;
   std::vector<Rule> rules;
-  Status s = ParseText(
+  Status s = ParseInto(
       "rule gen: (?S, ?R, ?T), (?S2, ISA, ?S) => (?S2, ?R, ?T) "
       "where ?R individual\n",
       &store, &rules);
@@ -57,7 +69,7 @@ TEST(TextFormatTest, ParsesWhereConstraints) {
 
 TEST(TextFormatTest, ParsesClassMark) {
   FactStore store;
-  Status s = ParseText("@class TOTAL-NUMBER\n", &store, nullptr);
+  Status s = ParseInto("@class TOTAL-NUMBER\n", &store, nullptr);
   ASSERT_TRUE(s.ok());
   EXPECT_TRUE(store.IsClassRelationship(
       *store.entities().Lookup("TOTAL-NUMBER")));
@@ -65,21 +77,21 @@ TEST(TextFormatTest, ParsesClassMark) {
 
 TEST(TextFormatTest, ErrorsCarryLineNumbers) {
   FactStore store;
-  Status s = ParseText("(A, B, C)\n(broken\n", &store, nullptr);
+  Status s = ParseInto("(A, B, C)\n(broken\n", &store, nullptr);
   EXPECT_TRUE(s.IsParseError());
   EXPECT_NE(s.message().find("line 2"), std::string::npos);
 }
 
 TEST(TextFormatTest, VariablesForbiddenInFacts) {
   FactStore store;
-  Status s = ParseText("(?X, R, B)\n", &store, nullptr);
+  Status s = ParseInto("(?X, R, B)\n", &store, nullptr);
   EXPECT_TRUE(s.IsParseError());
 }
 
 TEST(TextFormatTest, RejectsUnsafeRule) {
   FactStore store;
   std::vector<Rule> rules;
-  Status s = ParseText("rule bad: (?X, R, ?Y) => (?X, R, ?Z)\n", &store,
+  Status s = ParseInto("rule bad: (?X, R, ?Y) => (?X, R, ?Z)\n", &store,
                        &rules);
   EXPECT_TRUE(s.IsParseError());
   EXPECT_NE(s.message().find("unsafe"), std::string::npos);
@@ -88,7 +100,7 @@ TEST(TextFormatTest, RejectsUnsafeRule) {
 TEST(TextFormatTest, RuleRoundTrip) {
   FactStore store;
   std::vector<Rule> rules;
-  ASSERT_TRUE(ParseText(
+  ASSERT_TRUE(ParseInto(
                   "rule gen: (?S, ?R, ?T), (?S2, ISA, ?S) => (?S2, ?R, ?T) "
                   "where ?R individual\n",
                   &store, &rules)
@@ -96,7 +108,7 @@ TEST(TextFormatTest, RuleRoundTrip) {
   std::string text = SerializeRule(rules[0], store.entities());
   FactStore store2;
   std::vector<Rule> rules2;
-  Status s = ParseText(text + "\n", &store2, &rules2);
+  Status s = ParseInto(text + "\n", &store2, &rules2);
   ASSERT_TRUE(s.ok()) << s.ToString() << " text: " << text;
   ASSERT_EQ(rules2.size(), 1u);
   EXPECT_EQ(rules2[0].name, rules[0].name);
@@ -110,7 +122,7 @@ TEST(TextFormatTest, FactsRoundTripThroughSerializeFacts) {
   store.Assert("PC#9-WAM", "COMPOSED-BY", "MOZART");
   std::string text = SerializeFacts(store);
   FactStore store2;
-  ASSERT_TRUE(ParseText(text, &store2, nullptr).ok());
+  ASSERT_TRUE(ParseInto(text, &store2, nullptr).ok());
   EXPECT_EQ(store2.size(), 2u);
   EXPECT_TRUE(store2.Contains(
       Fact(*store2.entities().Lookup("PC#9-WAM"),
@@ -120,7 +132,7 @@ TEST(TextFormatTest, FactsRoundTripThroughSerializeFacts) {
 
 TEST(TextFormatTest, UnicodeRelationAliases) {
   FactStore store;
-  Status s = ParseText("(EMPLOYEE, ≺, PERSON)\n(JOHN, ∈, EMPLOYEE)\n",
+  Status s = ParseInto("(EMPLOYEE, ≺, PERSON)\n(JOHN, ∈, EMPLOYEE)\n",
                        &store, nullptr);
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_TRUE(store.Contains(Fact(*store.entities().Lookup("EMPLOYEE"),

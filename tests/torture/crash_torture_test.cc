@@ -109,6 +109,17 @@ bool Apply(LooseDb& db, const Mutation& m) {
   return false;
 }
 
+// Commits one mutation as a group of its own, so each mutation still
+// writes exactly one WAL record and one fsync-or-flush.
+Status CommitOne(SharedStore& store, const Mutation& m) {
+  return store
+      .Commit([&m](LooseDb& db) {
+        return Apply(db, m) ? Status::OK()
+                            : Status::Internal("mutation logged nothing");
+      })
+      .status();
+}
+
 // ---- Prefix simulation ------------------------------------------------
 
 struct SimState {
@@ -240,11 +251,12 @@ class CrashTortureTest : public ::testing::Test {
     return (dir_ / name).string();
   }
 
-  static LooseDbOptions TortureOptions() {
-    LooseDbOptions options;
-    options.wal_segment_bytes = 400;   // force frequent rotation
-    options.checkpoint_bytes = 1200;   // force mid-run auto-checkpoints
-    return options;
+  static SharedStoreDurability TortureDurability() {
+    SharedStoreDurability durability;
+    durability.sync = WalSync::kFlush;
+    durability.segment_bytes = 400;      // force frequent rotation
+    durability.checkpoint_bytes = 1200;  // force mid-run auto-checkpoints
+    return durability;
   }
 
   // Runs the writer in a forked child with `failpoints` armed,
@@ -256,14 +268,14 @@ class CrashTortureTest : public ::testing::Test {
     pid_t pid = ::fork();
     if (pid == 0) {
       if (!failpoint::Configure(failpoints).ok()) ::_exit(81);
-      LooseDb db(TortureOptions());
-      if (!db.Open(prefix).ok()) ::_exit(82);
+      SharedStore store;
+      if (!store.OpenDurable(prefix, TortureDurability()).ok()) ::_exit(82);
       int ack_fd =
           ::open(ack_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
       if (ack_fd < 0) ::_exit(83);
       for (const Mutation& m : history_) {
-        if (!Apply(db, m)) ::_exit(84);
-        if (!db.wal_status().ok()) ::_exit(85);
+        if (!CommitOne(store, m).ok()) ::_exit(84);
+        if (!store.wal_status().ok()) ::_exit(85);
         if (::write(ack_fd, "+", 1) != 1) ::_exit(86);
       }
       ::_exit(0);
@@ -285,21 +297,23 @@ class CrashTortureTest : public ::testing::Test {
   // golden sessions.
   void VerifyRecoveryAndFinish(const std::string& prefix, size_t acked,
                                const std::string& context) {
-    LooseDb db(TortureOptions());
-    Status opened = db.Open(prefix);
+    SharedStore store;
+    Status opened = store.OpenDurable(prefix, TortureDurability());
     ASSERT_TRUE(opened.ok()) << context << ": " << opened.ToString();
-    int m = FindMatchingPrefix(db, history_, acked);
+    int m = FindMatchingPrefix(store.snapshot()->db(), history_, acked);
     ASSERT_GE(m, 0) << context
                     << ": recovered store matches no committed prefix >= "
                     << acked << " acked mutations ("
-                    << db.last_recovery().ToString() << ")";
+                    << store.last_recovery().ToString() << ")";
     // The salvaged log keeps accepting appends: finish the history.
     for (size_t i = static_cast<size_t>(m); i < history_.size(); ++i) {
-      ASSERT_TRUE(Apply(db, history_[i])) << context << " at step " << i;
-      ASSERT_TRUE(db.wal_status().ok())
-          << context << ": " << db.wal_status().ToString();
+      Status committed = CommitOne(store, history_[i]);
+      ASSERT_TRUE(committed.ok())
+          << context << " at step " << i << ": " << committed.ToString();
+      ASSERT_TRUE(store.wal_status().ok())
+          << context << ": " << store.wal_status().ToString();
     }
-    ExpectGoldenMenus(db);
+    ExpectGoldenMenus(store.snapshot()->db());
   }
 
   fs::path dir_;
@@ -432,9 +446,11 @@ TEST_F(CrashTortureTest, GroupCommitCrashKeepsEveryAckedWrite) {
       }
     }
 
-    LooseDb db(TortureOptions());
-    Status opened = db.Open(prefix);
+    SharedStore recovered;
+    Status opened = recovered.OpenDurable(prefix, TortureDurability());
     ASSERT_TRUE(opened.ok()) << opened.ToString();
+    EpochPtr tip = recovered.snapshot();
+    LooseDb& db = tip->db();
 
     // Floor: every acknowledged write survived the crash.
     for (const std::string& name : acked) {
@@ -442,7 +458,7 @@ TEST_F(CrashTortureTest, GroupCommitCrashKeepsEveryAckedWrite) {
       ASSERT_TRUE(q.ok()) << q.status().ToString();
       EXPECT_TRUE(q->Success())
           << "acked write " << name << " lost (" << acked.size()
-          << " acked, " << db.last_recovery().ToString() << ")";
+          << " acked, " << recovered.last_recovery().ToString() << ")";
     }
     // Ceiling: everything recovered was actually issued — a torn batch
     // must never resurface as an invented fact.
@@ -456,8 +472,11 @@ TEST_F(CrashTortureTest, GroupCommitCrashKeepsEveryAckedWrite) {
           << "recovered fact " << key << " was never issued";
     }
     // The salvaged log still accepts appends after recovery.
-    db.Assert("POST-RECOVERY", "MARKS", "DONE");
-    ASSERT_TRUE(db.wal_status().ok()) << db.wal_status().ToString();
+    Status appended = CommitOne(
+        recovered, {Mutation::kAssert, "POST-RECOVERY", "MARKS", "DONE"});
+    ASSERT_TRUE(appended.ok()) << appended.ToString();
+    ASSERT_TRUE(recovered.wal_status().ok())
+        << recovered.wal_status().ToString();
   }
 }
 
@@ -785,12 +804,13 @@ TEST_F(CrashTortureTest, CleanRunRecoversEverything) {
   const std::string ack = Prefix("ack");
   ASSERT_EQ(RunWriterChild(prefix, ack, ""), 0);
   ASSERT_EQ(CountAcks(ack), history_.size());
-  LooseDb db(TortureOptions());
-  ASSERT_TRUE(db.Open(prefix).ok());
-  EXPECT_EQ(FindMatchingPrefix(db, history_, history_.size()),
+  SharedStore store;
+  ASSERT_TRUE(store.OpenDurable(prefix, TortureDurability()).ok());
+  EXPECT_EQ(FindMatchingPrefix(store.snapshot()->db(), history_,
+                               history_.size()),
             static_cast<int>(history_.size()))
-      << db.last_recovery().ToString();
-  ExpectGoldenMenus(db);
+      << store.last_recovery().ToString();
+  ExpectGoldenMenus(store.snapshot()->db());
 }
 
 // Kill the log itself, not the process: truncate and corrupt the final
@@ -799,14 +819,15 @@ TEST_F(CrashTortureTest, CleanRunRecoversEverything) {
 TEST_F(CrashTortureTest, SurvivesRandomByteOffsetDamage) {
   // Write the full history without checkpoints: with no snapshot, the
   // record count replayed identifies the recovered prefix exactly.
-  LooseDbOptions options;
-  options.wal_segment_bytes = 400;
-  options.checkpoint_bytes = 0;
+  SharedStoreDurability durability = TortureDurability();
+  durability.checkpoint_bytes = 0;
   const std::string prefix = Prefix("flat");
   {
-    LooseDb db(options);
-    ASSERT_TRUE(db.Open(prefix).ok());
-    for (const Mutation& m : history_) ASSERT_TRUE(Apply(db, m));
+    SharedStore store;
+    ASSERT_TRUE(store.OpenDurable(prefix, durability).ok());
+    for (const Mutation& m : history_) {
+      ASSERT_TRUE(CommitOne(store, m).ok());
+    }
   }
 
   // Snapshot the pristine segment files, in sequence order.
@@ -870,10 +891,12 @@ TEST_F(CrashTortureTest, SurvivesRandomByteOffsetDamage) {
                    std::to_string(cut));
       damage(cut, mode);
 
-      LooseDb db(options);
-      Status opened = db.Open(prefix);
+      SharedStore store;
+      Status opened = store.OpenDurable(prefix, durability);
       ASSERT_TRUE(opened.ok()) << opened.ToString();
-      const RecoveryStats& stats = db.last_recovery();
+      EpochPtr tip = store.snapshot();
+      const LooseDb& db = tip->db();
+      const RecoveryStats& stats = store.last_recovery();
       // With no snapshot, replayed records == prefix length. Verify
       // the store state is exactly that prefix: a single corrupt
       // record accepted, lost, or reordered would break the match.

@@ -9,7 +9,7 @@
 #                          latency percentiles from 1 to 4096+ sessions
 #                          in both the text and the pipelined binary
 #                          protocol).
-#   BENCH_recovery.json    bench_recovery (cold Open() recovery time vs
+#   BENCH_recovery.json    bench_recovery (cold Recover() time vs
 #                          WAL size, with and without checkpoints).
 #   BENCH_wal.json         bench_server write mix (group commit: acked
 #                          writes/sec at fsync-on as concurrent writer

@@ -16,7 +16,7 @@
 //
 // Reads command lines from stdin, sends each to the server, and prints
 // the response payload (or "error: ..." on ERR). The same grammar as
-// lsd_shell, plus the server verbs: hypo, session, ping, stats.
+// lsd_shell: both front ends run ServerSession::Execute.
 //
 // --binary switches to the length-prefixed binary framing after the
 // text greeting; --window N (implies --binary) pipelines up to N
