@@ -1,10 +1,8 @@
 #include "browse/probing.h"
 
 #include <algorithm>
-#include <deque>
 #include <set>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 
 namespace lsd {
@@ -20,64 +18,124 @@ bool EligibleLatticeEntity(const EntityTable& entities, EntityId e) {
 // distributes.
 constexpr size_t kMinQueriesPerWorker = 4;
 
+// Compressed sparse rows over EntityIds: row e is
+// ids[offsets[e] .. offsets[e + 1]).
+struct Csr {
+  std::vector<uint32_t> offsets;
+  std::vector<EntityId> ids;
+
+  const EntityId* begin(EntityId e) const { return ids.data() + offsets[e]; }
+  const EntityId* end(EntityId e) const {
+    return ids.data() + offsets[e + 1];
+  }
+  bool Contains(EntityId e, EntityId x) const {
+    return std::binary_search(begin(e), end(e), x);
+  }
+};
+
+// Groups `pairs` into `rows` CSR rows keyed by pair.first (a counting
+// sort), each row ascending and duplicate-free.
+Csr GroupBySource(const std::vector<std::pair<EntityId, EntityId>>& pairs,
+                  size_t rows) {
+  Csr csr;
+  csr.offsets.assign(rows + 1, 0);
+  for (const auto& [s, t] : pairs) ++csr.offsets[s + 1];
+  for (size_t e = 0; e < rows; ++e) csr.offsets[e + 1] += csr.offsets[e];
+  csr.ids.resize(pairs.size());
+  std::vector<uint32_t> fill(csr.offsets.begin(), csr.offsets.end() - 1);
+  for (const auto& [s, t] : pairs) csr.ids[fill[s]++] = t;
+  // Sort and dedup each row in place, sliding rows left as they shrink.
+  uint32_t out = 0;
+  for (size_t e = 0; e < rows; ++e) {
+    const uint32_t lo = csr.offsets[e];
+    const uint32_t hi = csr.offsets[e + 1];
+    std::sort(csr.ids.begin() + lo, csr.ids.begin() + hi);
+    csr.offsets[e] = out;
+    for (uint32_t i = lo; i < hi; ++i) {
+      if (i == lo || csr.ids[i] != csr.ids[i - 1]) csr.ids[out++] = csr.ids[i];
+    }
+  }
+  csr.offsets[rows] = out;
+  csr.ids.resize(out);
+  return csr;
+}
+
 }  // namespace
 
 GeneralizationLattice GeneralizationLattice::Build(const ClosureView& view) {
-  GeneralizationLattice lattice;
   const EntityTable& entities = view.store().entities();
-  lattice.num_entities_ = entities.size();
-  lattice.nodes_.resize(entities.size());
-  lattice.known_.assign(entities.size(), false);
 
-  // up[s] = strict non-synonym generalizations of s in the closure.
-  // The closure's ISA relation is already transitively closed (the
-  // generalization rules derive transitivity), so the stored targets of
-  // s are its full up-set.
-  std::unordered_map<EntityId, std::set<EntityId>> up;
-  view.ForEach(Pattern(), [&](const Fact& f) {
-    lattice.known_[f.source] = true;
-    lattice.known_[f.relationship] = true;
-    lattice.known_[f.target] = true;
-    if (f.relationship != kEntIsa) return true;
-    if (f.source == f.target) return true;
-    if (!EligibleLatticeEntity(entities, f.source) ||
-        !EligibleLatticeEntity(entities, f.target)) {
-      return true;
+  // s ≺ t for distinct regular entities, read from the stored ISA range
+  // of both tiers. With the generalization rules on, the closure's ISA
+  // relation is transitively closed and these rows are full up-sets; the
+  // cover definition below holds either way.
+  std::vector<std::pair<EntityId, EntityId>> pairs;
+  EntityId max_id = 0;
+  view.ForEachStored(Pattern(kAnyEntity, kEntIsa, kAnyEntity),
+                     [&](const Fact& f) {
+                       if (f.source == f.target) return true;
+                       pairs.emplace_back(f.source, f.target);
+                       max_id = std::max({max_id, f.source, f.target});
+                       return true;
+                     });
+  // 0 = not looked up yet, 1 = regular, 2 = not in the lattice.
+  std::vector<uint8_t> eligible(pairs.empty() ? 0 : size_t{max_id} + 1, 0);
+  auto regular = [&](EntityId e) {
+    if (eligible[e] == 0) {
+      eligible[e] = EligibleLatticeEntity(entities, e) ? 1 : 2;
     }
-    up[f.source].insert(f.target);
-    return true;
-  });
-
-  auto strictly_above = [&](EntityId lo, EntityId hi) {
-    // lo ≺ hi and not hi ≺ lo (synonyms are not above each other).
-    auto it = up.find(lo);
-    if (it == up.end() || !it->second.count(hi)) return false;
-    auto rit = up.find(hi);
-    return rit == up.end() || !rit->second.count(lo);
+    return eligible[e] == 1;
   };
+  size_t rows = 0;
+  size_t kept = 0;
+  for (const auto& [s, t] : pairs) {
+    if (!regular(s) || !regular(t)) continue;
+    pairs[kept++] = {s, t};
+    rows = std::max<size_t>(rows, std::max(s, t) + size_t{1});
+  }
+  pairs.resize(kept);
+  const Csr up = GroupBySource(pairs, rows);
 
-  for (const auto& [s, targets] : up) {
-    for (EntityId t : targets) {
-      if (!strictly_above(s, t)) continue;  // skip synonym edges
-      // t covers s unless some x sits strictly between them.
-      bool covered = false;
-      for (EntityId x : targets) {
-        if (x == t || x == s) continue;
-        if (strictly_above(s, x) && strictly_above(x, t)) {
-          covered = true;
-          break;
-        }
-      }
-      if (!covered) {
-        lattice.nodes_[s].parents.push_back(t);
-        lattice.nodes_[t].children.push_back(s);
-      }
+  // strict_up(s): the generalizations of s that are not also its
+  // synonyms (t ≺ s as well). Synonyms are never above each other.
+  pairs.clear();
+  for (EntityId s = 0; s < rows; ++s) {
+    for (const EntityId* t = up.begin(s); t != up.end(s); ++t) {
+      if (!up.Contains(*t, s)) pairs.emplace_back(s, *t);
     }
   }
-  for (Node& n : lattice.nodes_) {
-    std::sort(n.parents.begin(), n.parents.end());
-    std::sort(n.children.begin(), n.children.end());
+  const Csr strict = GroupBySource(pairs, rows);
+
+  // covers(s) = strict_up(s) − ⋃ strict_up(x) over x ∈ strict_up(s):
+  // t covers s unless some x lies strictly between them. mark[t] ==
+  // stamp flags t as a still-uncovered candidate for the current s.
+  std::vector<uint32_t> mark(rows, 0);
+  uint32_t stamp = 0;
+  pairs.clear();  // (s, t) for every cover t of s
+  for (EntityId s = 0; s < rows; ++s) {
+    if (strict.begin(s) == strict.end(s)) continue;
+    ++stamp;
+    for (const EntityId* t = strict.begin(s); t != strict.end(s); ++t) {
+      mark[*t] = stamp;
+    }
+    for (const EntityId* x = strict.begin(s); x != strict.end(s); ++x) {
+      for (const EntityId* y = strict.begin(*x); y != strict.end(*x); ++y) {
+        mark[*y] = 0;
+      }
+    }
+    for (const EntityId* t = strict.begin(s); t != strict.end(s); ++t) {
+      if (mark[*t] == stamp) pairs.emplace_back(s, *t);
+    }
   }
+
+  GeneralizationLattice lattice;
+  Csr parents = GroupBySource(pairs, rows);
+  for (auto& [s, t] : pairs) std::swap(s, t);
+  Csr children = GroupBySource(pairs, rows);
+  lattice.up_offsets_ = std::move(parents.offsets);
+  lattice.up_ = std::move(parents.ids);
+  lattice.down_offsets_ = std::move(children.offsets);
+  lattice.down_ = std::move(children.ids);
   return lattice;
 }
 
@@ -85,9 +143,12 @@ std::vector<EntityId> GeneralizationLattice::MinimalGeneralizations(
     EntityId e) const {
   if (e == kEntTop) return {};
   if (e == kEntBottom) return {kEntTop};  // degenerate but total
-  if (e >= nodes_.size()) return {kEntTop};
   if (e < kNumBuiltinEntities) return {};  // builtins do not generalize
-  if (!nodes_[e].parents.empty()) return nodes_[e].parents;
+  if (size_t{e} + 1 < up_offsets_.size() &&
+      up_offsets_[e] != up_offsets_[e + 1]) {
+    return std::vector<EntityId>(up_.begin() + up_offsets_[e],
+                                 up_.begin() + up_offsets_[e + 1]);
+  }
   return {kEntTop};
 }
 
@@ -95,14 +156,13 @@ std::vector<EntityId> GeneralizationLattice::MinimalSpecializations(
     EntityId e) const {
   if (e == kEntBottom) return {};
   if (e == kEntTop) return {kEntBottom};
-  if (e >= nodes_.size()) return {kEntBottom};
   if (e < kNumBuiltinEntities) return {};
-  if (!nodes_[e].children.empty()) return nodes_[e].children;
+  if (size_t{e} + 1 < down_offsets_.size() &&
+      down_offsets_[e] != down_offsets_[e + 1]) {
+    return std::vector<EntityId>(down_.begin() + down_offsets_[e],
+                                 down_.begin() + down_offsets_[e + 1]);
+  }
   return {kEntBottom};
-}
-
-bool GeneralizationLattice::IsKnown(EntityId e) const {
-  return e < known_.size() && known_[e];
 }
 
 std::string Substitution::Describe(const EntityTable& entities) const {
@@ -272,7 +332,7 @@ StatusOr<ProbeResult> Prober::Probe(const Query& query,
                for (int pos = 0; pos < 3; ++pos) {
                  const Term& t = atom->atom.at(pos);
                  if (t.is_entity() && t.entity() >= kNumBuiltinEntities &&
-                     !lattice_->IsKnown(t.entity())) {
+                     !view_->Mentions(t.entity())) {
                    unknown.insert(t.entity());
                  }
                }

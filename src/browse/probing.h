@@ -31,30 +31,33 @@ namespace lsd {
 // The covering relation ("minimal generalization", Sec 5.1) of the
 // closure's generalization order, restricted to regular entities.
 // Hierarchy roots cover to ANY; leaves specialize to NONE.
+//
+// Build reads nothing but the stored ISA facts of the closure's two
+// tiers (the ISA axioms are reflexive or involve ANY or NONE, none of
+// which the lattice keeps), so a lattice stays exact for every closure
+// with the same ISA facts: LooseDb shares one across epochs until the
+// generalization clock moves (core/loose_db.h). Immutable once built.
 class GeneralizationLattice {
  public:
   static GeneralizationLattice Build(const ClosureView& view);
 
-  // Minimal generalizations of e. Never empty for a regular entity
-  // (falls back to {ANY}); empty for ANY itself and for builtins.
+  // Minimal generalizations of e, ascending. Never empty for a regular
+  // entity (falls back to {ANY}); empty for ANY itself and for builtins.
   std::vector<EntityId> MinimalGeneralizations(EntityId e) const;
 
-  // Minimal specializations of e. Falls back to {NONE}; empty for NONE
-  // itself and for builtins other than ANY.
+  // Minimal specializations of e, ascending. Falls back to {NONE}; empty
+  // for NONE itself and for builtins other than ANY.
   std::vector<EntityId> MinimalSpecializations(EntityId e) const;
 
-  // True if the entity participates in any stored fact — probing reports
-  // entities that do not as "no such database entities".
-  bool IsKnown(EntityId e) const;
-
  private:
-  struct Node {
-    std::vector<EntityId> parents;   // covers above
-    std::vector<EntityId> children;  // covers below
-  };
-  std::vector<Node> nodes_;       // indexed by EntityId
-  std::vector<bool> known_;       // appears in some stored fact
-  size_t num_entities_ = 0;
+  // Covers as CSR rows indexed by EntityId: the covers above e are
+  // up_[up_offsets_[e] .. up_offsets_[e + 1]), the covers below it the
+  // same slice of down_. Ids past the tables take part in no strict ISA
+  // fact between regular entities.
+  std::vector<uint32_t> up_offsets_;
+  std::vector<EntityId> up_;
+  std::vector<uint32_t> down_offsets_;
+  std::vector<EntityId> down_;
 };
 
 // One substitution step on the way from the original query to a
@@ -111,7 +114,7 @@ struct ProbeResult {
   bool exhausted = false;  // search space emptied with no success
 
   // Entities of the original query that appear in no stored fact — the
-  // paper's "no such database entities" diagnosis.
+  // paper's "no such database entities" diagnosis (ClosureView::Mentions).
   std::vector<EntityId> unknown_entities;
 
   // Renders the paper's menu:
@@ -123,10 +126,10 @@ struct ProbeResult {
 
 class Prober {
  public:
-  // All borrowed; the lattice must match the view's closure. `planner`
-  // (optional) is a shared plan cache valid for the view's snapshot —
-  // a wave's sibling queries differ only in constants, so they all hit
-  // one cached plan.
+  // All borrowed; the lattice must be built from a closure with the
+  // view's ISA facts. `planner` (optional) is a shared plan cache valid
+  // for the view's snapshot — a wave's sibling queries differ only in
+  // constants, so they all hit one cached plan.
   Prober(const ClosureView* view, const GeneralizationLattice* lattice,
          const EntityTable* entities, PlannerCache* planner = nullptr)
       : view_(view),

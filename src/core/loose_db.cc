@@ -20,11 +20,6 @@ LooseDb::LooseDb(const LooseDbOptions& options)
   }
 }
 
-void LooseDb::Invalidate() {
-  // The closure cache is keyed on versions; nothing else to do. Kept as
-  // an explicit hook for future cache layers.
-}
-
 void LooseDb::MaintainIncremental(const Fact& f, bool asserted) {
   if (!options_.incremental_maintenance || incremental_ == nullptr) return;
   // Only a live, up-to-date incremental closure can absorb a point
@@ -41,8 +36,9 @@ void LooseDb::MaintainIncremental(const Fact& f, bool asserted) {
     return;
   }
   inc_store_version_ = store_.version();
-  // The lattice and plan caches are version-keyed; the bumped store
-  // version invalidates them on next use.
+  // The plan cache is version-keyed, so the bumped store version
+  // invalidates it on next use; the lattice follows the clock.
+  ++generalization_clock_;
 }
 
 Fact LooseDb::Assert(std::string_view source, std::string_view relationship,
@@ -170,6 +166,7 @@ StatusOr<const ClosureView*> LooseDb::View() const {
       }
       inc_store_version_ = store_.version();
       inc_rules_version_ = rules_version_;
+      ++generalization_clock_;
     }
     return &incremental_->view();
   }
@@ -221,6 +218,16 @@ StatusOr<const ClosureView*> LooseDb::View() const {
       if (!closure.ok()) return closure.status();
       closure_ = std::move(*closure);
     }
+    // The generalization clock: a recompute may change any ISA fact, but
+    // an extension only adds facts, so an equal ISA count means an equal
+    // ISA slice and the lattice stays exact.
+    const Pattern isa(kAnyEntity, kEntIsa, kAnyEntity);
+    const size_t isa_facts = closure_->base().CountMatches(isa) +
+                             closure_->derived().CountMatches(isa);
+    if (!extended || isa_facts != closure_isa_facts_) {
+      ++generalization_clock_;
+      closure_isa_facts_ = isa_facts;
+    }
     closure_store_version_ = store_.version();
     closure_rules_version_ = rules_version_;
     closure_delta_.clear();
@@ -247,12 +254,10 @@ StatusOr<LooseDb::StorageMemory> LooseDb::MemoryUsage() const {
 
 StatusOr<const GeneralizationLattice*> LooseDb::Lattice() const {
   LSD_ASSIGN_OR_RETURN(const ClosureView* view, View());
-  if (lattice_ == nullptr || lattice_store_version_ != store_.version() ||
-      lattice_rules_version_ != rules_version_) {
-    lattice_ = std::make_unique<GeneralizationLattice>(
+  if (lattice_ == nullptr || lattice_clock_ != generalization_clock_) {
+    lattice_ = std::make_shared<const GeneralizationLattice>(
         GeneralizationLattice::Build(*view));
-    lattice_store_version_ = store_.version();
-    lattice_rules_version_ = rules_version_;
+    lattice_clock_ = generalization_clock_;
   }
   return lattice_.get();
 }
@@ -321,9 +326,11 @@ Status LooseDb::CloneInto(LooseDb* out) const {
   // travel by shared pointer and the overlays by deep copy, so the
   // commit path inherits the seed closure instead of recomputing it —
   // View() on the clone then extends it with just the commit's new
-  // facts. Skipped when either side maintains incrementally (different
-  // derived representation) or the closure is stale (the clone would
-  // inherit a wrong cache).
+  // facts. The lattice and its clock travel with it, so the clone's
+  // Warm() rebuilds the lattice only if the extension adds ISA facts.
+  // Skipped when either side maintains incrementally (different derived
+  // representation) or the closure is stale (the clone would inherit a
+  // wrong cache).
   if (!options_.incremental_maintenance &&
       !out->options_.incremental_maintenance && closure_ != nullptr &&
       closure_store_version_ == store_.version() &&
@@ -335,6 +342,10 @@ Status LooseDb::CloneInto(LooseDb* out) const {
     out->closure_rules_version_ = out->rules_version_;
     out->closure_delta_.clear();
     out->closure_extension_ok_ = true;
+    out->generalization_clock_ = generalization_clock_;
+    out->closure_isa_facts_ = closure_isa_facts_;
+    out->lattice_ = lattice_;
+    out->lattice_clock_ = lattice_clock_;
   }
   return Status::OK();
 }

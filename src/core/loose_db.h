@@ -98,16 +98,21 @@ class LooseDb {
 
   // ---- Versions & cloning ------------------------------------------------
 
-  // The (store, rules) version key pair all internal caches (closure,
-  // lattice, planner) are keyed by. Observability breadcrumb for the
-  // shell's `stats` and the server's STATS verb; the serving layer also
-  // uses the pair to detect no-op commits.
+  // The (store, rules) version key pair the closure and planner caches
+  // are keyed by (the lattice follows the generalization clock, which
+  // View() advances when the closure's ISA facts may change).
+  // Observability breadcrumb for the shell's `stats` and the server's
+  // STATS verb; the serving layer also uses the pair to detect no-op
+  // commits.
   uint64_t store_version() const { return store_.version(); }
   uint64_t rules_version() const { return rules_version_; }
 
-  // Pre-materializes every lazily computed cache (closure, lattice,
-  // planner keying) so subsequent const reads never write the cache
-  // fields. A warmed database whose facts and rules no longer change is
+  // Pre-materializes every lazily computed cache so subsequent const
+  // reads never write the cache fields: the closure (View: an extension
+  // by the facts asserted since the last closure, or a full recompute),
+  // the generalization lattice (a pointer kept while the generalization
+  // clock holds, else an ISA-slice rebuild) and the planner's version
+  // key. A warmed database whose facts and rules no longer change is
   // safe for concurrent readers: the entity table is internally
   // synchronized, the planner cache is mutex-guarded, and everything
   // else is read-only. This is the serving layer's publish barrier.
@@ -117,9 +122,13 @@ class LooseDb {
   // and the composition limit into `out`, which must be freshly
   // constructed with standard_rules = false (clean containers). The
   // clone adopts both version counters, so any later mutation moves it
-  // off the source's key pair; its caches start cold unless the closure
-  // can be transplanted. The mutation capture is not cloned. This is the
-  // serving layer's copy-on-commit path.
+  // off the source's key pair. A current closure is transplanted (frozen
+  // segments by pointer, overlays by copy) together with its
+  // generalization clock and the shared lattice, so commit clones,
+  // published epochs and session overlays hold one lattice until their
+  // ISA facts diverge; otherwise the clone's caches start cold. The
+  // mutation capture is not cloned. This is the serving layer's
+  // copy-on-commit path.
   Status CloneInto(LooseDb* out) const;
 
   // Planner-cache observability (hit rate across this database's life).
@@ -133,6 +142,13 @@ class LooseDb {
   StatusOr<const ClosureView*> View() const;
   // Stats of the last computed closure (null before the first View()).
   const ClosureStats* closure_stats() const;
+
+  // The covering relation of the closure's generalization order (Sec
+  // 5.1), for probing. Kept while the generalization clock holds (see
+  // the cache fields below), and clones may share the object. The
+  // pointer stays valid until a later call rebuilds the lattice after a
+  // mutation moved the clock, which never happens on a warmed epoch.
+  StatusOr<const GeneralizationLattice*> Lattice() const;
 
   // Per-tier resident bytes of the closure's storage (experiment E9
   // observability; the shell's `stats` and the server's STATS verb
@@ -287,7 +303,6 @@ class LooseDb {
 
  private:
   EntityId MustLookup(std::string_view name, Status* status) const;
-  void Invalidate();
   // Adds `rules` (parsed from .lsd text) and asserts `facts`.
   Status AddLoaded(std::vector<Rule> rules, const std::vector<Fact>& facts);
 
@@ -324,11 +339,19 @@ class LooseDb {
   // logical change); copied by CloneInto.
   uint64_t storage_generation_ = 0;
 
-  // Generalization lattice cache, keyed the same way. Rebuilding the
-  // lattice is a full closure scan, and probing needs it on every call.
-  mutable std::unique_ptr<GeneralizationLattice> lattice_;
-  mutable uint64_t lattice_store_version_ = 0;
-  mutable uint64_t lattice_rules_version_ = 0;
+  // Generalization lattice cache, keyed on the generalization clock,
+  // which moves whenever the closure's ISA facts may have changed: on
+  // every full recompute (rules changes included), on every
+  // incremental-mode mutation, and on an extension that adds ISA facts
+  // to either tier. An extension only adds facts, so an unchanged ISA
+  // count proves an unchanged ISA slice and keeps the clock; commits of
+  // non-ISA facts therefore reuse the lattice. The clock is advanced
+  // where the closure changes (View), never per probe. The lattice is
+  // immutable and shared by CloneInto.
+  mutable uint64_t generalization_clock_ = 0;
+  mutable size_t closure_isa_facts_ = 0;  // ISA facts in closure_'s tiers
+  mutable std::shared_ptr<const GeneralizationLattice> lattice_;
+  mutable uint64_t lattice_clock_ = 0;
 
   // Query-plan cache shared by Run/Probe, valid for one closure
   // snapshot (same keying). Internally synchronized.
@@ -341,7 +364,6 @@ class LooseDb {
   mutable uint64_t inc_store_version_ = 0;
   mutable uint64_t inc_rules_version_ = 0;
 
-  StatusOr<const GeneralizationLattice*> Lattice() const;
   // The plan cache for the current (store, rules) snapshot, cleared on
   // version mismatch.
   PlannerCache* Planner() const;

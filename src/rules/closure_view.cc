@@ -33,6 +33,21 @@ bool ClosureView::ForEachStored(const Pattern& p,
   return true;
 }
 
+bool ClosureView::Mentions(EntityId e) const {
+  bool found = false;
+  auto stop = [&found](const Fact&) {
+    found = true;
+    return false;
+  };
+  for (const Pattern& p : {Pattern(e, kAnyEntity, kAnyEntity),
+                           Pattern(kAnyEntity, e, kAnyEntity),
+                           Pattern(kAnyEntity, kAnyEntity, e)}) {
+    ForEachStored(p, stop);
+    if (found) return true;
+  }
+  return false;
+}
+
 bool ClosureView::IsaAxiomHolds(const Fact& f) const {
   if (f.relationship != kEntIsa) return false;
   if (f.source == f.target) return true;       // reflexivity

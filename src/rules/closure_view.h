@@ -65,9 +65,17 @@ class ClosureView final : public FactSource {
 
   const FactStore& store() const { return *store_; }
 
- private:
-  // Enumerates stored (base ∪ derived) matches only.
+  // Enumerates stored (base ∪ derived) matches only: no virtual layer
+  // and no ANY/NONE rewrite. The generalization lattice reads the ISA
+  // slice this way.
   bool ForEachStored(const Pattern& p, const FactVisitor& visit) const;
+
+  // True if some stored fact names `e` in any position; probing reports
+  // entities that no fact names as "no such database entities" (Sec 5).
+  // One existence check per position.
+  bool Mentions(EntityId e) const;
+
+ private:
   bool StoredContains(const Fact& f) const;
 
   // ISA axiom handling (layer 4).

@@ -123,10 +123,11 @@ class ServerSession {
   // is applied this is the overlay's base). Exposed for tests.
   uint64_t last_epoch_sequence() const { return last_epoch_sequence_; }
 
- private:
-  // The database this request reads: the pinned shared epoch, or the
-  // session's private overlay materialization. `epoch` keeps the base
-  // alive either way.
+  // The database a read verb reads: the pinned shared epoch, or the
+  // session's private overlay materialization (rebuilt when the tip or
+  // the overlay moved). `epoch` keeps the base alive either way; an
+  // overlay `db` stays valid until the session's next Pin. Every read
+  // verb starts here; public so tests can inspect what a session reads.
   struct PinnedDb {
     EpochPtr epoch;
     LooseDb* db = nullptr;
@@ -134,6 +135,7 @@ class ServerSession {
   };
   StatusOr<PinnedDb> Pin();
 
+ private:
   // Last budget check before a mutation enqueues its commit slot (the
   // point of no return — after enqueue, a cancel waits for the ack).
   Status CheckBudget() const {

@@ -20,9 +20,11 @@
 // synchronized (parsing and composed-relationship minting intern on the
 // fly), and the plan cache is mutex-guarded — so the epoch is safe for
 // any number of reader threads. Internally each epoch's closure sits in
-// the PR-1 frozen+delta two-tier index, and its caches are keyed by the
-// PR-2 (store, rules) version pair; the commit path reuses that pair to
-// detect and skip no-op commits.
+// the PR-1 frozen+delta two-tier index, and its closure and plan caches
+// are keyed by the PR-2 (store, rules) version pair (the lattice, shared
+// with the parent epoch while the ISA facts hold, by the generalization
+// clock); the commit path reuses that pair to detect and skip no-op
+// commits.
 //
 // Commit = GROUP commit (the rocksdb WriteBatch leader/follower shape).
 // Every epoch costs a full clone of the tip (O(n)), a warm, and — when

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/loose_db.h"
+#include "server/shared_store.h"
 #include "workload/university_domain.h"
 
 namespace lsd {
@@ -70,10 +71,50 @@ TEST_F(ProbingTest, MinimalSpecializations) {
 }
 
 TEST_F(ProbingTest, KnownnessTracksStoredFacts) {
-  EXPECT_TRUE(Lattice().IsKnown(E("STUDENT")));
-  EXPECT_TRUE(Lattice().IsKnown(E("COSTS")));
+  auto view = db_.View();
+  ASSERT_TRUE(view.ok());
+  EXPECT_TRUE((*view)->Mentions(E("STUDENT")));
+  EXPECT_TRUE((*view)->Mentions(E("COSTS")));
   EntityId ghost = db_.entities().Intern("ZZZ-GHOST");
-  EXPECT_FALSE(Lattice().IsKnown(ghost));
+  EXPECT_FALSE((*view)->Mentions(ghost));
+}
+
+// Knownness is a property of the epoch's facts, not of the lattice: a
+// commit of non-ISA facts keeps the previous epoch's lattice, yet an
+// entity it names for the first time is known on the new epoch.
+TEST(ProbingKnownnessTest, NewEntityIsKnownOnAnEpochThatReusesTheLattice) {
+  SharedStore store;
+  ASSERT_TRUE(store
+                  .Commit([](LooseDb& db) {
+                    workload::BuildCampusDomain(&db);
+                    return Status::OK();
+                  })
+                  .ok());
+  EpochPtr before = store.snapshot();
+  auto old_lattice = before->db().Lattice();
+  ASSERT_TRUE(old_lattice.ok());
+
+  auto after = store.Commit([](LooseDb& db) {
+    db.Assert("NEWCOMER", "LOVE", "OPERA");
+    return Status::OK();
+  });
+  ASSERT_TRUE(after.ok());
+  auto new_lattice = (*after)->db().Lattice();
+  ASSERT_TRUE(new_lattice.ok());
+  EXPECT_EQ(*new_lattice, *old_lattice) << "a non-ISA commit rebuilt the "
+                                           "lattice instead of sharing it";
+
+  auto probe = (*after)->db().Probe("(NEWCOMER, HATE, ?Z)");
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  std::set<std::string> unknown;
+  for (EntityId e : probe->unknown_entities) {
+    unknown.insert((*after)->db().entities().Name(e));
+  }
+  EXPECT_EQ(unknown, (std::set<std::string>{"HATE"}));
+  auto view = (*after)->db().View();
+  ASSERT_TRUE(view.ok());
+  EXPECT_TRUE((*view)->Mentions(
+      *(*after)->db().entities().Lookup("NEWCOMER")));
 }
 
 TEST_F(ProbingTest, RetractionSetOfPaperQuery) {

@@ -90,8 +90,10 @@ run_bench "$join_order" "$tmp_join"
 run_bench "$probing" "$tmp_probe"
 
 out="$repo_root/BENCH_query.json"
+# The host the numbers come from, as the machine reports it.
+host="$(nproc) CPUs, $(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1)"
 {
-  printf '{"comment": "Release bench_join_order + bench_probing runs (E11 conjunct-ordering + merge-join ablation and E4 probing waves) for the current tree; regenerate with tools/bench_json.sh",\n'
+  printf '{"comment": "Release bench_join_order + bench_probing runs (E11 conjunct-ordering + merge-join ablation, E4 probing waves, lattice build and commit warm) for the current tree on %s; regenerate with tools/bench_json.sh",\n' "$host"
   printf '"bench_join_order":'
   cat "$tmp_join"
   printf ',"bench_probing":'
