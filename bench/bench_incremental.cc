@@ -1,17 +1,17 @@
-// E10: incremental closure maintenance (Sec 6.2 "update of data") vs
-// full recomputation, for point updates against organizations of
-// growing size.
+// E10: closure maintenance (Sec 6.2 "update of data") vs full
+// recomputation, for point updates against organizations of growing
+// size. LooseDb::View folds each update into its cached closure: an
+// assert extends it, a retract deletes and re-derives (DRed).
 //
 // Expected shape: full recomputation cost grows with store size;
-// incremental assert+retract pairs cost time proportional to the
-// consequences of the single fact, nearly independent of store size.
+// maintained assert+retract pairs cost time proportional to the
+// consequences of the single fact plus a copy of the tiers' overlays.
 #include <benchmark/benchmark.h>
 
 #include <map>
 #include <memory>
 
 #include "core/loose_db.h"
-#include "rules/incremental.h"
 #include "workload/org_domain.h"
 
 namespace {
@@ -20,7 +20,6 @@ struct World {
   std::unique_ptr<lsd::LooseDb> db;
   std::unique_ptr<lsd::MathProvider> math;
   std::unique_ptr<lsd::RuleEngine> engine;
-  std::unique_ptr<lsd::IncrementalClosure> inc;
 };
 
 World* BuildWorld(int employees) {
@@ -37,10 +36,6 @@ World* BuildWorld(int employees) {
       std::make_unique<lsd::MathProvider>(&w->db->store().entities());
   w->engine =
       std::make_unique<lsd::RuleEngine>(&w->db->store(), w->math.get());
-  w->inc = std::make_unique<lsd::IncrementalClosure>(
-      &w->db->store(), w->math.get(), w->db->rules());
-  lsd::Status s = w->inc->Initialize();
-  (void)s;
   World* out = w.get();
   (*cache)[employees] = std::move(w);
   return out;
@@ -67,51 +62,55 @@ void BM_FullRecomputeAfterUpdate(benchmark::State& state) {
   state.counters["base_facts"] = static_cast<double>(store.size());
 }
 
+// Assert a fact, read, retract it, read: one extension and one DRed
+// run on the maintained closure.
 void BM_IncrementalUpdatePair(benchmark::State& state) {
   World* w = BuildWorld(static_cast<int>(state.range(0)));
-  lsd::FactStore& store = w->db->store();
-  lsd::Fact f(store.entities().Intern("EMP-0"),
-              store.entities().Intern("MENTORS"),
-              store.entities().Intern("EMP-1"));
+  lsd::LooseDb& db = *w->db;
+  lsd::Fact f(db.entities().Intern("EMP-0"), db.entities().Intern("MENTORS"),
+              db.entities().Intern("EMP-1"));
+  if (!db.View().ok()) {
+    state.SkipWithError("closure failed");
+    return;
+  }
   for (auto _ : state) {
-    store.Assert(f);
-    lsd::Status s1 = w->inc->OnAssert(f);
-    store.Retract(f);
-    lsd::Status s2 = w->inc->OnRetract(f);
+    db.Assert(f);
+    lsd::Status s1 = db.View().status();
+    db.Retract(f);
+    lsd::Status s2 = db.View().status();
     if (!s1.ok() || !s2.ok()) {
-      state.SkipWithError("incremental maintenance failed");
+      state.SkipWithError("closure maintenance failed");
       return;
     }
   }
-  state.counters["base_facts"] = static_cast<double>(store.size());
+  state.counters["base_facts"] = static_cast<double>(db.store().size());
   state.counters["derived"] =
-      static_cast<double>(w->inc->derived().size());
+      static_cast<double>(db.closure_stats()->derived_facts);
 }
 
 // A heavier update: retracting a membership fact tears down and partly
-// rebuilds the employee's derived facts (DRed both phases).
+// rebuilds the employee's derived facts (DRed both phases); the
+// re-assert extends them back.
 void BM_IncrementalMembershipChurn(benchmark::State& state) {
   World* w = BuildWorld(static_cast<int>(state.range(0)));
-  lsd::FactStore& store = w->db->store();
-  lsd::Fact f(store.entities().Intern("EMP-0"),
-              store.entities().Intern("IN"),
-              store.entities().Intern("EMPLOYEE"));
+  lsd::LooseDb& db = *w->db;
+  lsd::Fact f(db.entities().Intern("EMP-0"), db.entities().Intern("IN"),
+              db.entities().Intern("EMPLOYEE"));
+  if (!db.View().ok()) {
+    state.SkipWithError("closure failed");
+    return;
+  }
   for (auto _ : state) {
-    if (store.Retract(f)) {
-      lsd::Status s = w->inc->OnRetract(f);
-      if (!s.ok()) {
-        state.SkipWithError(s.ToString().c_str());
-        return;
-      }
-    }
-    store.Assert(f);
-    lsd::Status s = w->inc->OnAssert(f);
-    if (!s.ok()) {
-      state.SkipWithError(s.ToString().c_str());
+    db.Retract(f);
+    lsd::Status s1 = db.View().status();
+    db.Assert(f);
+    lsd::Status s2 = db.View().status();
+    if (!s1.ok() || !s2.ok()) {
+      state.SkipWithError("closure maintenance failed");
       return;
     }
   }
-  state.counters["base_facts"] = static_cast<double>(store.size());
+  state.counters["base_facts"] = static_cast<double>(db.store().size());
 }
 
 }  // namespace

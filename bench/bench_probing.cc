@@ -87,28 +87,6 @@ void BM_Probe(benchmark::State& state) {
   state.counters["successes"] = static_cast<double>(successes);
 }
 
-// Parallel wave evaluation: the same probe at 1/2/4/8 worker threads.
-// A wave's candidates are independent existence checks, so wall time
-// should drop until the per-candidate work no longer amortizes a
-// thread.
-void BM_ProbeThreads(benchmark::State& state) {
-  ProbeWorld* w = BuildWorld(/*depth=*/6, /*fanout=*/4, /*gap=*/3,
-                             /*dag_percent=*/100);
-  lsd::ProbeOptions options;
-  options.max_waves = 4;
-  options.num_threads = static_cast<unsigned>(state.range(0));
-  size_t attempted = 0;
-  for (auto _ : state) {
-    auto probe = w->db->Probe(w->query, options);
-    if (!probe.ok()) {
-      state.SkipWithError(probe.status().ToString().c_str());
-      return;
-    }
-    attempted = probe->queries_attempted;
-  }
-  state.counters["queries_attempted"] = static_cast<double>(attempted);
-}
-
 // A from-scratch lattice build on the depth-6, fanout-4, 50 %-DAG
 // taxonomy: the ISA-slice scan plus the cover computation.
 void BM_LatticeBuild(benchmark::State& state) {
@@ -193,13 +171,6 @@ BENCHMARK(BM_Probe)
     ->Args({4, 4, 3, 50})
     ->Args({4, 4, 2, 100})
     ->Args({6, 4, 3, 100})
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(BM_ProbeThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_LatticeBuild)->Unit(benchmark::kMillisecond);

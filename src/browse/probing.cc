@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <thread>
 #include <unordered_set>
 
 namespace lsd {
@@ -12,11 +11,6 @@ namespace {
 bool EligibleLatticeEntity(const EntityTable& entities, EntityId e) {
   return entities.Kind(e) == EntityKind::kRegular;
 }
-
-// Below this many wave candidates per worker the probes stay on the
-// calling thread: spawning would cost more than the evaluation work it
-// distributes.
-constexpr size_t kMinQueriesPerWorker = 4;
 
 // Compressed sparse rows over EntityIds: row e is
 // ids[offsets[e] .. offsets[e + 1]).
@@ -383,45 +377,19 @@ StatusOr<ProbeResult> Prober::Probe(const Query& query,
 
     // Existence probes first: a candidate only needs a yes/no here, so
     // the evaluation stops at the first satisfying row (first_row_only
-    // short-circuits inside the join). Candidates are independent
-    // read-only evaluations over an immutable snapshot, so a wave is
-    // probed in parallel with the same discipline as the rule engine's
-    // closure rounds; the flags are merged in candidate order below, so
-    // the menu is identical at any thread count.
+    // short-circuits inside the join). They run in sequence: a wave's
+    // probes cost microseconds each, less than spawning a thread.
     std::vector<char> succeeded(allowed, 0);
     EvalOptions probe_options = eval_options;
     probe_options.first_row_only = true;
     probe_options.max_rows = 1;
-    auto probe_range = [&](size_t begin, size_t count) {
-      for (size_t i = begin; i < begin + count; ++i) {
-        // A tripped budget sticks on the shared token; stop burning
-        // candidates (the wave-boundary Check below surfaces the error).
-        if (options.budget != nullptr && options.budget->cancelled()) break;
-        auto evaluated = evaluator.Evaluate(next[i].query, probe_options);
-        // Unsafe variants are skipped.
-        succeeded[i] = evaluated.ok() && evaluated->Success() ? 1 : 0;
-      }
-    };
-    size_t num_threads = options.num_threads;
-    if (num_threads == 0) {
-      num_threads = std::max(1u, std::thread::hardware_concurrency());
-    }
-    const size_t workers = std::max<size_t>(
-        1, std::min(num_threads, allowed / kMinQueriesPerWorker));
-    if (workers == 1) {
-      probe_range(0, allowed);
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(workers - 1);
-      const size_t chunk = (allowed + workers - 1) / workers;
-      for (size_t w = 1; w < workers; ++w) {
-        const size_t begin = std::min(allowed, w * chunk);
-        const size_t count = std::min(allowed - begin, chunk);
-        threads.emplace_back(
-            [&probe_range, begin, count] { probe_range(begin, count); });
-      }
-      probe_range(0, std::min(allowed, chunk));
-      for (std::thread& t : threads) t.join();
+    for (size_t i = 0; i < allowed; ++i) {
+      // A tripped budget sticks on the shared token; stop burning
+      // candidates (the wave-boundary Check below surfaces the error).
+      if (options.budget != nullptr && options.budget->cancelled()) break;
+      auto evaluated = evaluator.Evaluate(next[i].query, probe_options);
+      // Unsafe variants are skipped.
+      succeeded[i] = evaluated.ok() && evaluated->Success() ? 1 : 0;
     }
 
     // Wave boundary: surface a budget trip as the probe's own error —

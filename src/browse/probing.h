@@ -85,12 +85,6 @@ struct ProbeOptions {
   // Conjunct ordering for the probe evaluations (ablation E11).
   JoinOrder join_order = JoinOrder::kEstimatedCost;
 
-  // Worker threads for a wave's candidate probes (0 = hardware
-  // concurrency, 1 = sequential). A wave's candidates are independent
-  // existence checks; they are probed in parallel and the results merged
-  // in candidate order, so the menu is identical at any thread count.
-  unsigned num_threads = 1;
-
   // Optional cooperative cancellation / deadline token. Borrowed; must
   // outlive the Probe call. Threaded into every candidate evaluation and
   // checked between candidates and at wave boundaries; a tripped budget

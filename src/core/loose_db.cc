@@ -20,25 +20,15 @@ LooseDb::LooseDb(const LooseDbOptions& options)
   }
 }
 
-void LooseDb::MaintainIncremental(const Fact& f, bool asserted) {
-  if (!options_.incremental_maintenance || incremental_ == nullptr) return;
-  // Only a live, up-to-date incremental closure can absorb a point
-  // update; otherwise let View() rebuild it lazily.
-  if (inc_rules_version_ != rules_version_ ||
-      inc_store_version_ + 1 != store_.version()) {
-    incremental_ = nullptr;
-    return;
+void LooseDb::NoteChange(const Fact& f) {
+  if (f.relationship == kEntIn && f.target == kEntClassRel) {
+    // Marking or unmarking a class relationship changes which old facts
+    // pass the rules' VarConstraints, so the closure is not merely
+    // maintained by this fact — force the full recompute.
+    closure_recompute_ = true;
+  } else if (closure_ != nullptr && !closure_recompute_) {
+    closure_changes_.push_back(f);
   }
-  Status s = asserted ? incremental_->OnAssert(f)
-                      : incremental_->OnRetract(f);
-  if (!s.ok()) {
-    incremental_ = nullptr;  // fall back to a rebuild
-    return;
-  }
-  inc_store_version_ = store_.version();
-  // The plan cache is version-keyed, so the bumped store version
-  // invalidates it on next use; the lattice follows the clock.
-  ++generalization_clock_;
 }
 
 Fact LooseDb::Assert(std::string_view source, std::string_view relationship,
@@ -54,15 +44,7 @@ bool LooseDb::Assert(const Fact& f) {
   bool inserted = store_.Assert(f);
   if (inserted) {
     if (capture_ != nullptr) capture_->push_back(WalAssertRecord(store_, f));
-    MaintainIncremental(f, /*asserted=*/true);
-    if (f.relationship == kEntIn && f.target == kEntClassRel) {
-      // Marking a class relationship changes which old facts pass the
-      // rules' VarConstraints, so the closure is not merely extended by
-      // this fact — force the full recompute.
-      closure_extension_ok_ = false;
-    } else if (closure_extension_ok_) {
-      closure_delta_.push_back(f);
-    }
+    NoteChange(f);
   }
   return inserted;
 }
@@ -71,11 +53,7 @@ bool LooseDb::Retract(const Fact& f) {
   bool erased = store_.Retract(f);
   if (erased) {
     if (capture_ != nullptr) capture_->push_back(WalRetractRecord(store_, f));
-    MaintainIncremental(f, /*asserted=*/false);
-    // The closure is only monotone under addition; a retraction may
-    // invalidate derived facts, so the extension shortcut is off until
-    // the next full recompute.
-    closure_extension_ok_ = false;
+    NoteChange(f);
   }
   return erased;
 }
@@ -153,86 +131,80 @@ bool LooseDb::IsRuleEnabled(std::string_view name) const {
 }
 
 StatusOr<const ClosureView*> LooseDb::View() const {
-  if (options_.incremental_maintenance) {
-    if (incremental_ == nullptr ||
-        inc_rules_version_ != rules_version_ ||
-        inc_store_version_ != store_.version()) {
-      incremental_ =
-          std::make_unique<IncrementalClosure>(&store_, &math_, rules_);
-      Status s = incremental_->Initialize();
-      if (!s.ok()) {
-        incremental_ = nullptr;
-        return s;
-      }
-      inc_store_version_ = store_.version();
-      inc_rules_version_ = rules_version_;
-      ++generalization_clock_;
-    }
-    return &incremental_->view();
+  if (closure_ != nullptr && closure_store_version_ == store_.version() &&
+      closure_rules_version_ == rules_version_) {
+    return &closure_->view();
   }
-  if (closure_ == nullptr || closure_store_version_ != store_.version() ||
-      closure_rules_version_ != rules_version_) {
-    ClosureOptions closure_options = options_.closure;
-    if (closure_options.budget == nullptr) {
-      closure_options.budget = read_budget_;
-    }
-    // Incremental extension (the serving path's common case): when the
-    // only change since the cached closure is a known list of asserted
-    // facts, seed a semi-naive fixpoint with exactly that delta on
-    // clones of the cached tiers instead of recomputing from scratch.
-    // The version arithmetic proves the delta is complete; mutations
-    // that bypass Assert bump the version without growing the delta and
-    // fail the check. A failed attempt leaves `closure_` untouched (the
-    // extension ran on clones), so falling back is safe.
-    bool extended = false;
-    if (closure_ != nullptr && closure_extension_ok_ &&
-        closure_rules_version_ == rules_version_ &&
-        !closure_delta_.empty() &&
-        store_.version() == closure_store_version_ + closure_delta_.size() &&
-        closure_options.strategy == ClosureOptions::Strategy::kSemiNaive) {
-      std::vector<Fact> delta = closure_delta_;
-      std::sort(delta.begin(), delta.end(), OrderSrt());
-      delta.erase(std::unique(delta.begin(), delta.end()), delta.end());
-      // A newly asserted fact that the seed closure had *derived* would
-      // end up in both tiers (base gains it, derived keeps it), breaking
-      // their disjointness; recompute instead.
-      bool collision = false;
-      for (const Fact& f : delta) {
-        if (closure_->derived().Contains(f)) {
-          collision = true;
-          break;
-        }
-      }
-      if (!collision) {
-        auto ext = engine_.ExtendClosure(
-            rules_, closure_->base().Clone(), closure_->derived().Clone(),
-            closure_->stats(), std::move(delta), closure_options);
-        if (ext.ok()) {
-          closure_ = std::move(*ext);
-          extended = true;
-        }
-      }
-    }
-    if (!extended) {
-      auto closure = engine_.ComputeClosure(rules_, closure_options);
-      if (!closure.ok()) return closure.status();
-      closure_ = std::move(*closure);
-    }
-    // The generalization clock: a recompute may change any ISA fact, but
-    // an extension only adds facts, so an equal ISA count means an equal
-    // ISA slice and the lattice stays exact.
-    const Pattern isa(kAnyEntity, kEntIsa, kAnyEntity);
-    const size_t isa_facts = closure_->base().CountMatches(isa) +
-                             closure_->derived().CountMatches(isa);
-    if (!extended || isa_facts != closure_isa_facts_) {
-      ++generalization_clock_;
-      closure_isa_facts_ = isa_facts;
-    }
-    closure_store_version_ = store_.version();
-    closure_rules_version_ = rules_version_;
-    closure_delta_.clear();
-    closure_extension_ok_ = true;
+  ClosureOptions closure_options = options_.closure;
+  if (closure_options.budget == nullptr) {
+    closure_options.budget = read_budget_;
   }
+  // Maintenance (the serving path's common case): when the only change
+  // since the cached closure is the recorded list of fact changes, fold
+  // their net effect into clones of the cached tiers — delete and
+  // re-derive for the retracts, then an extension by the asserts —
+  // instead of recomputing from scratch. The version arithmetic proves
+  // the list complete; mutations that bypass Assert/Retract bump the
+  // version without growing it and fail the check. The work runs on
+  // clones, so a failed run (a tripped read budget) leaves `closure_`
+  // and the list intact and the next View() retries.
+  const bool maintain =
+      closure_ != nullptr && !closure_recompute_ &&
+      closure_rules_version_ == rules_version_ &&
+      store_.version() == closure_store_version_ + closure_changes_.size() &&
+      closure_options.strategy == ClosureOptions::Strategy::kSemiNaive;
+  bool isa_erased = false;
+  if (maintain) {
+    // Every recorded change flips its fact's membership, so a fact
+    // changed an odd number of times is retracted if the closure's base
+    // tier holds it and asserted if not, and an even count cancels out.
+    // Sorting in place keeps the list whole if this run fails.
+    std::vector<Fact>& changes = closure_changes_;
+    std::sort(changes.begin(), changes.end(), OrderSrt());
+    std::vector<Fact> retracted;
+    std::vector<Fact> asserted;
+    asserted.reserve(changes.size());  // a bulk load is all asserts
+    for (size_t i = 0, j = 0; i < changes.size(); i = j) {
+      while (j < changes.size() && changes[j] == changes[i]) ++j;
+      if ((j - i) % 2 == 0) continue;
+      (closure_->base().Contains(changes[i]) ? retracted : asserted)
+          .push_back(changes[i]);
+    }
+    DeltaIndex base = closure_->base().Clone();
+    DeltaIndex derived = closure_->derived().Clone();
+    ClosureStats stats = closure_->stats();
+    if (!retracted.empty()) {
+      std::vector<Fact> erased;
+      LSD_RETURN_IF_ERROR(engine_.RetractFromClosure(
+          rules_, retracted, &base, &derived, &stats, &erased,
+          closure_options));
+      for (const Fact& f : erased) {
+        isa_erased = isa_erased || f.relationship == kEntIsa;
+      }
+    }
+    LSD_ASSIGN_OR_RETURN(
+        closure_, engine_.ExtendClosure(rules_, std::move(base),
+                                        std::move(derived), stats,
+                                        std::move(asserted), closure_options));
+  } else {
+    LSD_ASSIGN_OR_RETURN(closure_,
+                         engine_.ComputeClosure(rules_, closure_options));
+  }
+  // The generalization clock: a recompute may change any ISA fact, and
+  // so may maintenance that erased one; otherwise maintenance only added
+  // facts, so an equal ISA count means an equal ISA slice and the
+  // lattice stays exact.
+  const Pattern isa(kAnyEntity, kEntIsa, kAnyEntity);
+  const size_t isa_facts = closure_->base().CountMatches(isa) +
+                           closure_->derived().CountMatches(isa);
+  if (!maintain || isa_erased || isa_facts != closure_isa_facts_) {
+    ++generalization_clock_;
+    closure_isa_facts_ = isa_facts;
+  }
+  closure_store_version_ = store_.version();
+  closure_rules_version_ = rules_version_;
+  closure_changes_.clear();
+  closure_recompute_ = false;
   return &closure_->view();
 }
 
@@ -243,10 +215,6 @@ const ClosureStats* LooseDb::closure_stats() const {
 StatusOr<LooseDb::StorageMemory> LooseDb::MemoryUsage() const {
   LSD_RETURN_IF_ERROR(View().status());
   StorageMemory mem;
-  if (options_.incremental_maintenance && incremental_ != nullptr) {
-    mem.derived.overlay_bytes = incremental_->derived().MemoryUsage();
-    return mem;
-  }
   mem.base = closure_->base().MemoryUsage();
   mem.derived = closure_->derived().MemoryUsage();
   return mem;
@@ -326,22 +294,19 @@ Status LooseDb::CloneInto(LooseDb* out) const {
   // travel by shared pointer and the overlays by deep copy, so the
   // commit path inherits the seed closure instead of recomputing it —
   // View() on the clone then extends it with just the commit's new
-  // facts. The lattice and its clock travel with it, so the clone's
-  // Warm() rebuilds the lattice only if the extension adds ISA facts.
-  // Skipped when either side maintains incrementally (different derived
-  // representation) or the closure is stale (the clone would inherit a
-  // wrong cache).
-  if (!options_.incremental_maintenance &&
-      !out->options_.incremental_maintenance && closure_ != nullptr &&
-      closure_store_version_ == store_.version() &&
+  // facts (or deletes and re-derives for its retracts). The lattice and
+  // its clock travel with it, so the clone's Warm() rebuilds the lattice
+  // only if that maintenance changes an ISA fact. Skipped when the
+  // closure is stale (the clone would inherit a wrong cache).
+  if (closure_ != nullptr && closure_store_version_ == store_.version() &&
       closure_rules_version_ == rules_version_) {
     out->closure_ = std::make_unique<Closure>(
         &out->store_, &out->math_, closure_->base().Clone(),
         closure_->derived().Clone(), closure_->stats());
     out->closure_store_version_ = out->store_.version();
     out->closure_rules_version_ = out->rules_version_;
-    out->closure_delta_.clear();
-    out->closure_extension_ok_ = true;
+    out->closure_changes_.clear();
+    out->closure_recompute_ = false;
     out->generalization_clock_ = generalization_clock_;
     out->closure_isa_facts_ = closure_isa_facts_;
     out->lattice_ = lattice_;
@@ -351,16 +316,13 @@ Status LooseDb::CloneInto(LooseDb* out) const {
 }
 
 StatusOr<LooseDb::CompactionPlan> LooseDb::BuildCompactionPlan() const {
-  if (options_.incremental_maintenance) {
-    return Status::FailedPrecondition(
-        "compaction requires the batch (non-incremental) closure");
-  }
   LSD_RETURN_IF_ERROR(View().status());
   CompactionPlan plan;
   auto build = [](const DeltaIndex& tier, TierPlan* tp) {
     // One segment and no overlay is already fully compacted.
     if (tier.segment_count() <= 1 && tier.overlay_size() == 0) return;
     tp->old_segments = tier.segments();
+    tp->erase_count = tier.erase_count();
     FrozenIndex merged = tier.BuildMerged();
     if (merged.size() != 0) {
       tp->merged =
@@ -373,10 +335,6 @@ StatusOr<LooseDb::CompactionPlan> LooseDb::BuildCompactionPlan() const {
 }
 
 Status LooseDb::InstallCompactedTiers(const CompactionPlan& plan) {
-  if (options_.incremental_maintenance) {
-    return Status::FailedPrecondition(
-        "compaction requires the batch (non-incremental) closure");
-  }
   if (plan.empty()) return Status::OK();
   LSD_RETURN_IF_ERROR(View().status());
   // Validate both tiers before mutating either, so a stale plan aborts
@@ -384,6 +342,7 @@ Status LooseDb::InstallCompactedTiers(const CompactionPlan& plan) {
   // fail halfway.
   auto prefix_current = [](const TierPlan& tp, const DeltaIndex& tier) {
     if (tp.trivial()) return true;
+    if (tier.erase_count() != tp.erase_count) return false;
     const auto& segs = tier.segments();
     if (tp.old_segments.size() > segs.size()) return false;
     for (size_t i = 0; i < tp.old_segments.size(); ++i) {

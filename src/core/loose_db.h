@@ -13,9 +13,10 @@
 //   auto hood = db.Navigate("JOHN");                   // browsing
 //   auto probe = db.Probe("(JOHN, MANAGES, ?X)");      // retraction
 //
-// The closure is computed lazily and cached; any mutation (facts or
-// rules) invalidates it. All operations are Status-based; the library
-// never throws.
+// The closure is computed lazily and cached. Fact asserts and retracts
+// are folded into the cached closure on the next read (delete and
+// re-derive, then extension); a rules change recomputes it. All
+// operations are Status-based; the library never throws.
 #ifndef LSD_CORE_LOOSE_DB_H_
 #define LSD_CORE_LOOSE_DB_H_
 
@@ -33,7 +34,6 @@
 #include "query/parser.h"
 #include "rules/composition.h"
 #include "rules/contradiction.h"
-#include "rules/incremental.h"
 #include "rules/rule_engine.h"
 #include "store/persistence.h"
 #include "util/status.h"
@@ -46,10 +46,6 @@ struct LooseDbOptions {
   ClosureOptions closure;
   // Default composition bound; the limit(n) operator (Sec 6.1).
   int composition_limit = 3;
-  // Maintain the closure incrementally across Assert/Retract instead of
-  // recomputing it (Sec 6.2's "update of data"; see rules/incremental.h).
-  // Point updates become cheap; rule changes still trigger a rebuild.
-  bool incremental_maintenance = false;
 };
 
 class LooseDb {
@@ -108,8 +104,8 @@ class LooseDb {
   uint64_t rules_version() const { return rules_version_; }
 
   // Pre-materializes every lazily computed cache so subsequent const
-  // reads never write the cache fields: the closure (View: an extension
-  // by the facts asserted since the last closure, or a full recompute),
+  // reads never write the cache fields: the closure (View: the cached
+  // one maintained by the fact changes since, or a full recompute),
   // the generalization lattice (a pointer kept while the generalization
   // clock holds, else an ISA-slice rebuild) and the planner's version
   // key. A warmed database whose facts and rules no longer change is
@@ -128,7 +124,8 @@ class LooseDb {
   // published epochs and session overlays hold one lattice until their
   // ISA facts diverge; otherwise the clone's caches start cold. The
   // mutation capture is not cloned. This is the serving layer's
-  // copy-on-commit path.
+  // copy-on-commit path, and session overlays use it too: their
+  // hypothetical retracts reach the transplanted closure through View().
   Status CloneInto(LooseDb* out) const;
 
   // Planner-cache observability (hit rate across this database's life).
@@ -138,10 +135,20 @@ class LooseDb {
 
   // ---- Closure & integrity ----------------------------------------------
 
-  // The queryable closure; recomputed if facts or rules changed.
+  // The queryable closure. After fact changes the cached closure is
+  // maintained on clones of its tiers: delete and re-derive
+  // (RuleEngine::RetractFromClosure) for the net retracts, then an
+  // extension (RuleEngine::ExtendClosure) for the net asserts. It is
+  // recomputed from scratch only after a rules change, a
+  // class-relationship mark or unmark, a store mutation that bypassed
+  // Assert/Retract, or under the naive strategy.
   StatusOr<const ClosureView*> View() const;
   // Stats of the last computed closure (null before the first View()).
   const ClosureStats* closure_stats() const;
+  // The last computed closure, tiers included (null before the first
+  // View(); current right after a successful View()). Differential tests
+  // compare its tiers with a from-scratch RuleEngine::ComputeClosure.
+  const Closure* closure() const { return closure_.get(); }
 
   // The covering relation of the closure's generalization order (Sec
   // 5.1), for probing. Kept while the generalization clock holds (see
@@ -153,8 +160,6 @@ class LooseDb {
   // Per-tier resident bytes of the closure's storage (experiment E9
   // observability; the shell's `stats` and the server's STATS verb
   // report the breakdown). Computes the closure first if it is stale.
-  // In incremental-maintenance mode the derived tier is a plain triple
-  // index; its bytes are reported as overlay bytes with no frozen run.
   struct StorageMemory {
     DeltaIndex::Memory base;      // generational snapshot of the asserted
                                   // facts (segments + overlay)
@@ -173,17 +178,22 @@ class LooseDb {
   // later commit's mutation on the unpublished clone, validates that the
   // planned segments are still the tiers' prefix (shared_ptr identity —
   // they travel across epochs by pointer) and swaps the merged generation
-  // in. A stale plan (a foreground tail-merge consumed a pinned segment
-  // meanwhile) returns Aborted and the caller retries against the current
-  // tip. Compaction writes no WAL records: it is a storage-layout change
-  // with no logical content, so it is a durability no-op and shipped WAL
-  // bytes are unchanged for replication.
+  // in. A stale plan returns Aborted and the caller retries against the
+  // current tip: a foreground tail-merge consumed a pinned segment
+  // meanwhile, or an Erase (a retract, or an assert of a derived fact)
+  // removed a fact the merged generation holds — possibly from the
+  // overlay, which leaves the segment prefix intact, so the tier's erase
+  // count is checked too. Compaction writes no WAL records: it is a
+  // storage-layout change with no logical content, so it is a durability
+  // no-op and shipped WAL bytes are unchanged for replication.
   struct TierPlan {
     // The segment prefix the merge was built from (empty = overlay-only
     // fold) and its single-segment replacement (null when the tier had
     // nothing to fold).
     std::vector<std::shared_ptr<const FrozenIndex>> old_segments;
     std::shared_ptr<const FrozenIndex> merged;
+    // The tier's DeltaIndex::erase_count() at the pin.
+    uint64_t erase_count = 0;
     bool trivial() const { return old_segments.empty() && merged == nullptr; }
   };
   struct CompactionPlan {
@@ -324,30 +334,32 @@ class LooseDb {
   mutable uint64_t closure_store_version_ = 0;
   mutable uint64_t closure_rules_version_ = 0;
 
-  // Monotone delta since the cached closure was fixed: the facts
-  // asserted through Assert() with no intervening retraction or
-  // class-relationship marking. View() extends the cached closure with
-  // exactly these (RuleEngine::ExtendClosure) instead of recomputing,
-  // provided the version arithmetic proves the list is complete: every
-  // store-version bump since the closure was keyed must correspond to
-  // one captured fact (a mutation that bypasses Assert, such as
-  // Recover, bumps the version without growing the delta and thus
-  // forces the full recompute).
-  mutable std::vector<Fact> closure_delta_;
-  mutable bool closure_extension_ok_ = true;
+  // The facts asserted or retracted since the cached closure was fixed:
+  // one entry per Assert/Retract that changed the store. View()
+  // maintains the cached closure by their net effect instead of
+  // recomputing, provided the version arithmetic proves the list is
+  // complete: every store-version bump since the closure was keyed must
+  // correspond to one entry (a mutation that bypasses Assert/Retract,
+  // such as Recover, bumps the version without growing the list and
+  // thus forces the full recompute). A class-relationship mark or unmark
+  // changes which old facts pass the rules' VarConstraints, so it sets
+  // closure_recompute_ instead.
+  mutable std::vector<Fact> closure_changes_;
+  mutable bool closure_recompute_ = false;
   // Bumped by InstallCompactedTiers (storage layout changed with no
   // logical change); copied by CloneInto.
   uint64_t storage_generation_ = 0;
 
   // Generalization lattice cache, keyed on the generalization clock,
   // which moves whenever the closure's ISA facts may have changed: on
-  // every full recompute (rules changes included), on every
-  // incremental-mode mutation, and on an extension that adds ISA facts
-  // to either tier. An extension only adds facts, so an unchanged ISA
-  // count proves an unchanged ISA slice and keeps the clock; commits of
-  // non-ISA facts therefore reuse the lattice. The clock is advanced
-  // where the closure changes (View), never per probe. The lattice is
-  // immutable and shared by CloneInto.
+  // every full recompute (rules changes included), on every maintenance
+  // run that erases an ISA fact from either tier, and on one that
+  // changes the tiers' ISA count. Without an ISA erase, maintenance only
+  // adds ISA facts, so an unchanged count proves an unchanged ISA slice
+  // and keeps the clock; commits and retracts of non-ISA facts therefore
+  // reuse the lattice. The clock is advanced where the closure changes
+  // (View), never per probe. The lattice is immutable and shared by
+  // CloneInto.
   mutable uint64_t generalization_clock_ = 0;
   mutable size_t closure_isa_facts_ = 0;  // ISA facts in closure_'s tiers
   mutable std::shared_ptr<const GeneralizationLattice> lattice_;
@@ -359,16 +371,11 @@ class LooseDb {
   mutable uint64_t planner_store_version_ = 0;
   mutable uint64_t planner_rules_version_ = 0;
 
-  // Incremental mode state (options_.incremental_maintenance).
-  mutable std::unique_ptr<IncrementalClosure> incremental_;
-  mutable uint64_t inc_store_version_ = 0;
-  mutable uint64_t inc_rules_version_ = 0;
-
   // The plan cache for the current (store, rules) snapshot, cleared on
   // version mismatch.
   PlannerCache* Planner() const;
-  // Applies a point mutation to the incremental closure if it is live.
-  void MaintainIncremental(const Fact& f, bool asserted);
+  // Records one store change for View()'s closure maintenance.
+  void NoteChange(const Fact& f);
 };
 
 }  // namespace lsd

@@ -31,13 +31,12 @@ namespace lsd {
 class ClosureView final : public FactSource {
  public:
   // All pointers are borrowed and must outlive the view. `derived` is any
-  // FactSource holding the rule engine's output (the generational
-  // DeltaIndex for batch closures, an IndexSource for the incremental
-  // engine); it may be null (no rules applied). `base_index`, when
-  // non-null, is a generational snapshot of exactly the store's asserted
-  // facts: the view then serves the base layer from its columnar
-  // segments instead of the store's node-based index. Pass null when the
-  // store may mutate under the view (the incremental engine).
+  // FactSource holding the rule engine's output (a Closure's generational
+  // DeltaIndex, or any index in tests); it may be null (no rules
+  // applied). `base_index`, when non-null, is a generational snapshot of
+  // exactly the store's asserted facts: the view then serves the base
+  // layer from its columnar segments instead of the store's node-based
+  // index. Pass null to read the store directly.
   ClosureView(const FactStore* store, const FactSource* derived,
               const MathProvider* math,
               const DeltaIndex* base_index = nullptr);

@@ -1,7 +1,9 @@
 #include "rules/rule_engine.h"
 
 #include <algorithm>
+#include <iterator>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -56,6 +58,9 @@ struct RoundContext {
   // through its own BudgetTicker; the step counter is atomic, so the cap
   // holds across threads.
   const QueryBudget* budget = nullptr;
+  // Over-delete rounds keep the heads found in `derived` instead of the
+  // heads in neither tier.
+  bool over_delete = false;
 };
 
 // Output buffer of one worker (or of the sequential path). Candidates
@@ -109,6 +114,7 @@ struct DeriveFn {
   const DeltaIndex* derived;
   const Rule* rule;
   WorkerResult* out;
+  bool over_delete;
 
   bool operator()(const Binding& binding) const {
     for (const Template& head : rule->head) {
@@ -120,6 +126,12 @@ struct DeriveFn {
       if (MathProvider::IsComparator(f.relationship) && math->Holds(f)) {
         continue;
       }
+      if (over_delete) {
+        // This instantiation used a deleted fact, so a stored derived
+        // head may have lost its only proof.
+        if (derived->Contains(f)) out->candidates.push_back(f);
+        continue;
+      }
       if (base->Contains(f) || derived->Contains(f)) continue;
       out->candidates.push_back(f);
     }
@@ -129,7 +141,8 @@ struct DeriveFn {
 
 DeriveFn MakeDerive(const RoundContext& ctx, const Rule& rule,
                     WorkerResult* out) {
-  return DeriveFn{ctx.math, ctx.base, ctx.derived, &rule, out};
+  return DeriveFn{ctx.math, ctx.base, ctx.derived, &rule, out,
+                  ctx.over_delete};
 }
 
 // Matches every body atom of `rule` against the full snapshot. Used by
@@ -267,6 +280,57 @@ void MatchDeltaSlice(const RoundContext& ctx, const Fact* facts, size_t n,
   }
 }
 
+// True if some enabled rule derives `f` in one step from what `full`
+// serves: unifying a head with `f` binds the head's variables (each
+// checked against the rule's VarConstraints), and the matcher then runs
+// the body under that binding, stopping at the first proof.
+StatusOr<bool> HasOneStepProof(const RoundContext& ctx,
+                               const std::vector<Rule>& rules,
+                               const FactSource& full, const Fact& f) {
+  for (const Rule& rule : rules) {
+    if (!rule.enabled) continue;
+    FilterFn filter = MakeFilterFn(ctx, rule);
+    VarFilter vf = filter.active ? VarFilter(filter) : VarFilter();
+    for (const Template& head : rule.head) {
+      Binding binding(rule.num_vars());
+      if (!head.Unify(f, binding)) continue;
+      VarId head_vars[3];
+      const size_t num_head_vars = head.CollectVars(head_vars);
+      bool admissible = true;
+      for (size_t i = 0; filter.active && i < num_head_vars; ++i) {
+        admissible = admissible &&
+                     filter(head_vars[i], binding.Get(head_vars[i]));
+      }
+      if (!admissible) continue;
+      bool proved = false;
+      LSD_RETURN_IF_ERROR(MatchConjunction(
+          full, rule.body, binding, vf,
+          [&proved](const Binding&) {
+            proved = true;
+            return false;
+          },
+          JoinOrder::kBoundCount, /*planner=*/nullptr,
+          /*merge_join=*/true, ctx.budget));
+      if (proved) return true;
+    }
+  }
+  return false;
+}
+
+// Preconditions shared by the two maintenance entry points.
+Status CheckMaintainable(const std::vector<Rule>& rules,
+                         const ClosureOptions& options) {
+  if (options.strategy != ClosureOptions::Strategy::kSemiNaive) {
+    return Status::InvalidArgument(
+        "closure maintenance requires the semi-naive strategy");
+  }
+  for (const Rule& rule : rules) {
+    if (!rule.enabled) continue;
+    LSD_RETURN_IF_ERROR(rule.Validate());
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 StatusOr<std::unique_ptr<Closure>> RuleEngine::ComputeClosure(
@@ -279,55 +343,120 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::ComputeClosure(
   // cannot change during the fixpoint, and frozen segments are much
   // faster to probe than the store's node-based index.
   DeltaIndex base(FrozenIndex::FromTripleIndex(store_->base()));
+  DeltaIndex derived;
+  ClosureStats stats;
   std::vector<Fact> delta_facts;
   if (options.strategy == ClosureOptions::Strategy::kSemiNaive) {
     // Round 1 treats every asserted fact as new.
     delta_facts = base.Materialize();
   }
-  return RunFixpoint(rules, options, std::move(base), DeltaIndex(),
-                     ClosureStats(), std::move(delta_facts),
-                     /*fire_virtual_only=*/true);
+  LSD_RETURN_IF_ERROR(RunFixpoint(rules, options, RoundMode::kDerive, &base,
+                                  &derived, &stats, std::move(delta_facts),
+                                  /*fire_virtual_only=*/true));
+  return MakeClosure(std::move(base), std::move(derived), stats);
 }
 
 StatusOr<std::unique_ptr<Closure>> RuleEngine::ExtendClosure(
     const std::vector<Rule>& rules, DeltaIndex base, DeltaIndex derived,
     ClosureStats stats, std::vector<Fact> new_facts,
     const ClosureOptions& options) const {
-  if (options.strategy != ClosureOptions::Strategy::kSemiNaive) {
-    return Status::InvalidArgument(
-        "ExtendClosure requires the semi-naive strategy");
+  LSD_RETURN_IF_ERROR(CheckMaintainable(rules, options));
+  // The new facts join the base tier; those the closure had not derived
+  // seed the first semi-naive round. Virtual-only rules are skipped:
+  // they fired when the seed closure was computed, and nothing they read
+  // has changed.
+  std::vector<Fact> moved;
+  for (const Fact& f : new_facts) {
+    if (derived.Contains(f)) moved.push_back(f);
   }
-  for (const Rule& rule : rules) {
-    if (!rule.enabled) continue;
-    LSD_RETURN_IF_ERROR(rule.Validate());
-  }
-  // The new facts join the base tier, then seed the first semi-naive
-  // round. Virtual-only rules are skipped: they fired when the seed
-  // closure was computed, and nothing they read has changed.
   base.InsertRun(new_facts);
-  return RunFixpoint(rules, options, std::move(base), std::move(derived),
-                     stats, std::move(new_facts),
-                     /*fire_virtual_only=*/false);
+  if (!moved.empty()) {
+    derived.Erase(moved);
+    new_facts.erase(std::remove_if(new_facts.begin(), new_facts.end(),
+                                   [&moved](const Fact& f) {
+                                     return std::binary_search(
+                                         moved.begin(), moved.end(), f,
+                                         OrderSrt());
+                                   }),
+                    new_facts.end());
+  }
+  LSD_RETURN_IF_ERROR(RunFixpoint(rules, options, RoundMode::kDerive, &base,
+                                  &derived, &stats, std::move(new_facts),
+                                  /*fire_virtual_only=*/false));
+  return MakeClosure(std::move(base), std::move(derived), stats);
 }
 
-StatusOr<std::unique_ptr<Closure>> RuleEngine::RunFixpoint(
-    const std::vector<Rule>& rules, const ClosureOptions& options,
-    DeltaIndex base, DeltaIndex derived, ClosureStats stats,
-    std::vector<Fact> delta_facts, bool fire_virtual_only) const {
+Status RuleEngine::RetractFromClosure(const std::vector<Rule>& rules,
+                                      const std::vector<Fact>& retracted,
+                                      DeltaIndex* base, DeltaIndex* derived,
+                                      ClosureStats* stats,
+                                      std::vector<Fact>* erased,
+                                      const ClosureOptions& options) const {
+  LSD_RETURN_IF_ERROR(CheckMaintainable(rules, options));
+  std::vector<Fact> over_deleted;
+  LSD_RETURN_IF_ERROR(RunFixpoint(rules, options, RoundMode::kOverDelete,
+                                  base, derived, stats, retracted,
+                                  /*fire_virtual_only=*/false,
+                                  &over_deleted));
+  std::sort(over_deleted.begin(), over_deleted.end(), OrderSrt());
+  base->Erase(retracted);
+  derived->Erase(over_deleted);
+
+  // Both runs are sorted and disjoint (retracted facts were in the base
+  // tier, over-deleted ones in the derived tier).
+  std::vector<Fact> gone;
+  gone.reserve(retracted.size() + over_deleted.size());
+  std::merge(retracted.begin(), retracted.end(), over_deleted.begin(),
+             over_deleted.end(), std::back_inserter(gone), OrderSrt());
+  const std::vector<uint8_t> class_rel = store_->ClassRelationshipMask();
+  RoundContext ctx{nullptr, store_,     math_,         base,
+                   derived, &class_rel, options.budget};
+  UnionSource survivors({base, derived, math_});
+  std::vector<Fact> seeds;
+  for (const Fact& f : gone) {
+    LSD_ASSIGN_OR_RETURN(bool proved,
+                         HasOneStepProof(ctx, rules, survivors, f));
+    if (proved) seeds.push_back(f);
+  }
+  erased->insert(erased->end(), gone.begin(), gone.end());
+  derived->InsertRun(seeds);
+  return RunFixpoint(rules, options, RoundMode::kDerive, base, derived,
+                     stats, std::move(seeds), /*fire_virtual_only=*/false);
+}
+
+std::unique_ptr<Closure> RuleEngine::MakeClosure(DeltaIndex base,
+                                                 DeltaIndex derived,
+                                                 ClosureStats stats) const {
+  stats.derived_facts = derived.size();
+  return std::make_unique<Closure>(store_, math_, std::move(base),
+                                   std::move(derived), stats);
+}
+
+Status RuleEngine::RunFixpoint(const std::vector<Rule>& rules,
+                               const ClosureOptions& options, RoundMode mode,
+                               DeltaIndex* base, DeltaIndex* derived,
+                               ClosureStats* stats,
+                               std::vector<Fact> delta_facts,
+                               bool fire_virtual_only,
+                               std::vector<Fact>* over_deleted) const {
   const bool semi_naive =
       options.strategy == ClosureOptions::Strategy::kSemiNaive;
+  // A maintenance run with nothing to seed derives (or deletes) nothing.
+  if (semi_naive && !fire_virtual_only && delta_facts.empty()) {
+    return Status::OK();
+  }
   size_t num_threads = options.num_threads;
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
 
-  UnionSource full({&base, &derived, math_});
-  std::vector<uint8_t> class_rel(store_->entities().size());
-  for (EntityId e = 0; e < class_rel.size(); ++e) {
-    class_rel[e] = store_->IsClassRelationship(e) ? 1 : 0;
-  }
-  RoundContext ctx{nullptr,  store_,     math_,         &base,
-                   &derived, &class_rel, options.budget};
+  UnionSource full({base, derived, math_});
+  const std::vector<uint8_t> class_rel = store_->ClassRelationshipMask();
+  RoundContext ctx{nullptr, store_,     math_,          base,
+                   derived, &class_rel, options.budget,
+                   mode == RoundMode::kOverDelete};
+  // Over-delete: every head kept so far, so each is kept once.
+  std::unordered_set<Fact, FactHash> deleted;
 
   // Prepare the seed-first plans; rules with no pinnable atom fire (at
   // most) once, in round 1.
@@ -362,11 +491,11 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::RunFixpoint(
   ctx.prules = &prules;
 
   bool first_round = true;
-  // `stats.rounds` accumulates across a seed closure and its extensions;
-  // the convergence valve bounds only this run.
+  // `stats->rounds` accumulates across a seed closure and its
+  // maintenance runs; the convergence valve bounds only this run.
   size_t rounds_this_run = 0;
   for (;;) {
-    ++stats.rounds;
+    ++stats->rounds;
     if (++rounds_this_run > options.max_rounds) {
       return Status::FailedPrecondition(
           "closure did not converge within max_rounds");
@@ -384,7 +513,7 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::RunFixpoint(
         if (!rule.enabled) continue;
         LSD_RETURN_IF_ERROR(MatchFullRule(ctx, rule, full, &seq));
       }
-      stats.candidate_facts += seq.candidate_facts;
+      stats->candidate_facts += seq.candidate_facts;
       merged = std::move(seq.candidates);
     } else {
       if (first_round && fire_virtual_only) {
@@ -398,7 +527,7 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::RunFixpoint(
       if (workers == 1) {
         MatchDeltaSlice(ctx, delta_facts.data(), n, &seq);
         LSD_RETURN_IF_ERROR(seq.status);
-        stats.candidate_facts += seq.candidate_facts;
+        stats->candidate_facts += seq.candidate_facts;
         merged = std::move(seq.candidates);
       } else {
         std::vector<WorkerResult> results(workers);
@@ -417,11 +546,11 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::RunFixpoint(
         for (std::thread& t : threads) t.join();
 
         // Deterministic single-threaded merge, in worker order.
-        stats.candidate_facts += seq.candidate_facts;
+        stats->candidate_facts += seq.candidate_facts;
         merged = std::move(seq.candidates);
         for (WorkerResult& r : results) {
           LSD_RETURN_IF_ERROR(r.status);
-          stats.candidate_facts += r.candidate_facts;
+          stats->candidate_facts += r.candidate_facts;
           merged.insert(merged.end(), r.candidates.begin(),
                         r.candidates.end());
         }
@@ -432,25 +561,33 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::RunFixpoint(
     // paths, possibly in different workers) and install the round.
     std::sort(merged.begin(), merged.end(), OrderSrt());
     merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    if (merged.empty()) break;
-    // InsertRun appends an L0 segment (or overlay facts) plus a bounded
-    // geometric tail-merge — never a full rebuild, so the commit path no
-    // longer stalls when the derived set crosses a size threshold;
-    // merging generations down is the background compactor's job.
-    derived.InsertRun(merged);
-    if (derived.size() > options.max_derived_facts) {
-      return Status::OutOfRange(
-          "closure exceeded max_derived_facts (" +
-          std::to_string(options.max_derived_facts) +
-          "); consider excluding rules or raising the limit");
+    if (mode == RoundMode::kOverDelete) {
+      merged.erase(std::remove_if(merged.begin(), merged.end(),
+                                  [&deleted](const Fact& f) {
+                                    return !deleted.insert(f).second;
+                                  }),
+                   merged.end());
+      if (merged.empty()) break;
+      over_deleted->insert(over_deleted->end(), merged.begin(),
+                           merged.end());
+    } else {
+      if (merged.empty()) break;
+      // InsertRun appends an L0 segment (or overlay facts) plus a bounded
+      // geometric tail-merge — never a full rebuild, so the commit path
+      // does not stall when the derived set crosses a size threshold;
+      // merging generations down is the background compactor's job.
+      derived->InsertRun(merged);
+      if (derived->size() > options.max_derived_facts) {
+        return Status::OutOfRange(
+            "closure exceeded max_derived_facts (" +
+            std::to_string(options.max_derived_facts) +
+            "); consider excluding rules or raising the limit");
+      }
     }
     delta_facts = std::move(merged);
     first_round = false;
   }
-
-  stats.derived_facts = derived.size();
-  return std::make_unique<Closure>(store_, math_, std::move(base),
-                                   std::move(derived), stats);
+  return Status::OK();
 }
 
 }  // namespace lsd

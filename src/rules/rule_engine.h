@@ -66,13 +66,14 @@ struct ClosureStats {
 // The materialized closure. Owns two generational tiers — the columnar
 // snapshot of the asserted facts the fixpoint ran against (base) and the
 // derived fact index — and exposes the queryable view (base ∪ derived ∪
-// virtual layers). The view serves the base layer from the snapshot —
-// valid because any store mutation bumps the store version and
-// invalidates the whole closure. Both tiers are DeltaIndexes, so a
-// serving tip can extend them across epochs (RuleEngine::ExtendClosure)
-// and the background compactor can fold their accumulated segments
-// (LooseDb::InstallCompactedTiers, which uses the mutable accessors —
-// only ever on a private, unpublished clone).
+// virtual layers). The view serves the base layer from the snapshot: a
+// Closure is immutable, and a store mutation yields a new Closure built
+// on clones of these tiers (LooseDb::View: RuleEngine::RetractFromClosure
+// for retracts, RuleEngine::ExtendClosure for asserts). Both tiers are
+// DeltaIndexes, so clones share their segments across epochs, and the
+// background compactor can fold them (LooseDb::InstallCompactedTiers,
+// which uses the mutable accessors — only ever on a private, unpublished
+// clone).
 class Closure {
  public:
   Closure(const FactStore* store, const MathProvider* math,
@@ -119,30 +120,69 @@ class RuleEngine {
 
   // Extends a previously computed closure with `new_facts` — the facts
   // asserted since `base`/`derived` were fixed — by running semi-naive
-  // rounds whose first delta is exactly the new facts. Because the
-  // closure is monotone in the asserted facts (the caller guarantees no
-  // retraction, no rule change, and no class-relationship re-marking
-  // happened since), every derivation involving at least one new fact is
-  // found and everything else is already present, so the result equals
-  // ComputeClosure from scratch. Preconditions (caller-checked):
-  // `new_facts` is SRT-sorted, duplicate-free, disjoint from both tiers,
-  // and the strategy is kSemiNaive. `stats` is the seed closure's stats,
-  // accumulated into. Virtual-only rules are skipped (they fired when
-  // the seed was computed).
+  // rounds whose first delta is the new facts. Because the closure is
+  // monotone in the asserted facts (the caller guarantees no rule change
+  // and no class-relationship re-marking happened since), every
+  // derivation involving at least one new fact is found and everything
+  // else is already present, so the result equals ComputeClosure from
+  // scratch. A new fact the closure already derived only changes tier:
+  // it leaves `derived` and seeds nothing, as its consequences are
+  // present. Preconditions (caller-checked): `new_facts` is SRT-sorted,
+  // duplicate-free, disjoint from `base`, and the strategy is
+  // kSemiNaive. `stats` is the seed closure's stats, accumulated into.
+  // Virtual-only rules are skipped (they fired when the seed was
+  // computed).
   StatusOr<std::unique_ptr<Closure>> ExtendClosure(
       const std::vector<Rule>& rules, DeltaIndex base, DeltaIndex derived,
       ClosureStats stats, std::vector<Fact> new_facts,
       const ClosureOptions& options = ClosureOptions()) const;
 
+  // Removes `retracted` — asserted facts of `base` no longer in the store
+  // — from the closure held by `base`/`derived`, in place, by delete and
+  // re-derive (DRed; Gupta, Mumick & Subrahmanian, SIGMOD 1993):
+  //   1. over-delete: semi-naive rounds seeded with `retracted` read the
+  //      unmodified tiers and collect every head found in `derived`
+  //      (whatever used a deleted fact, transitively);
+  //   2. erase the retracted facts from `base` and the over-deleted ones
+  //      from `derived`;
+  //   3. re-derive: every erased fact with a one-step proof over the
+  //      survivors rejoins `derived` and seeds ordinary extension rounds,
+  //      which put back everything else still derivable.
+  // The result equals ComputeClosure over the remaining facts, at a cost
+  // proportional to the consequences of `retracted`. Same preconditions
+  // as ExtendClosure; `retracted` is SRT-sorted and duplicate-free.
+  // Appends every fact erased in step 2 to `erased` (re-derived or not):
+  // the caller learns which ISA facts may have changed. On error the
+  // tiers are left partially updated; callers run this on clones.
+  Status RetractFromClosure(const std::vector<Rule>& rules,
+                            const std::vector<Fact>& retracted,
+                            DeltaIndex* base, DeltaIndex* derived,
+                            ClosureStats* stats, std::vector<Fact>* erased,
+                            const ClosureOptions& options =
+                                ClosureOptions()) const;
+
  private:
+  // What a round does with the heads it instantiates.
+  enum class RoundMode {
+    kDerive,      // heads in neither tier join `derived`
+    kOverDelete,  // heads found in `derived` go to `over_deleted`
+  };
+
   // Shared fixpoint driver: seeds the first round with `delta_facts`
-  // and loops until no new fact is derived. `fire_virtual_only` controls
-  // whether rules with no pinnable atom fire in round 1 (fresh closures
-  // yes, extensions no).
-  StatusOr<std::unique_ptr<Closure>> RunFixpoint(
-      const std::vector<Rule>& rules, const ClosureOptions& options,
-      DeltaIndex base, DeltaIndex derived, ClosureStats stats,
-      std::vector<Fact> delta_facts, bool fire_virtual_only) const;
+  // and loops until a round keeps no new head. `fire_virtual_only`
+  // controls whether rules with no pinnable atom fire in round 1 (fresh
+  // closures yes, extensions no). kOverDelete rounds leave both tiers
+  // untouched and append each head once to `over_deleted`.
+  Status RunFixpoint(const std::vector<Rule>& rules,
+                     const ClosureOptions& options, RoundMode mode,
+                     DeltaIndex* base, DeltaIndex* derived,
+                     ClosureStats* stats, std::vector<Fact> delta_facts,
+                     bool fire_virtual_only,
+                     std::vector<Fact>* over_deleted = nullptr) const;
+
+  // Wraps the tiers of a finished fixpoint.
+  std::unique_ptr<Closure> MakeClosure(DeltaIndex base, DeltaIndex derived,
+                                       ClosureStats stats) const;
 
   const FactStore* store_;
   const MathProvider* math_;

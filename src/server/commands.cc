@@ -147,8 +147,8 @@ uint64_t ServerSession::EstimateCost(const std::string& cmd,
       (overlay_db_ == nullptr ||
        overlay_epoch_sequence_ != epoch->sequence() ||
        overlay_built_version_ != overlay_version_)) {
-    // A stale overlay means this request starts with a clone + full
-    // closure recompute, whatever the verb.
+    // A stale overlay means this request starts with a clone of the
+    // epoch's store and closure tiers, whatever the verb.
     cost = db.store().size();
   }
   auto view = db.View();

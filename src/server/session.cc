@@ -59,9 +59,10 @@ StatusOr<ServerSession::PinnedDb> ServerSession::Pin() {
   }
   // No Warm(): the overlay db is private to this session's thread, so
   // its caches may fill lazily like any single-user LooseDb. That lazy
-  // fill (a whole-closure rebuild) is exactly the expensive read the
+  // fill (delete and re-derive for the hypothetical retracts, then an
+  // extension by the asserts, on the transplanted tiers) is the read the
   // request budget must govern — safe here precisely because the clone
-  // is single-thread-owned (a tripped rebuild leaves the stale cache
+  // is single-thread-owned (a tripped run leaves the stale cache
   // untouched; the next request's View() simply retries).
   overlay_db_->set_read_budget(budget_);
   pinned.db = overlay_db_.get();

@@ -9,7 +9,8 @@
 // retractions/assertions that exist only for this session. While the
 // overlay is non-empty, the session reads through a private
 // materialization — a clone of the pinned epoch with the overlay
-// applied, closure recomputed — so the hypothesis propagates through
+// applied, its closure maintained by delete and re-derive plus
+// extension — so the hypothesis propagates through
 // inference exactly as a real mutation would, yet no other session can
 // observe it. An empty overlay reads the shared epoch directly (the
 // fast path: shared closure, lattice, and plan cache).

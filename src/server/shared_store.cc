@@ -302,11 +302,6 @@ Status SharedStore::WriteCheckpoint(const EpochPtr& tip) {
 }
 
 Status SharedStore::EnableCompaction(const CompactionOptions& options) {
-  if (options_.incremental_maintenance) {
-    return Status::FailedPrecondition(
-        "background compaction requires the batch (non-incremental) "
-        "closure");
-  }
   if (compactor_ != nullptr) {
     return Status::FailedPrecondition("compaction is already enabled");
   }

@@ -251,7 +251,7 @@ class SharedStore {
   // ordinary (record-free) commit. Works on primaries and followers
   // alike — compaction writes no WAL records, so shipped bytes are
   // unchanged and each side compacts independently. FailedPrecondition
-  // on incremental-maintenance stores (different derived representation).
+  // if compaction is already enabled.
   Status EnableCompaction(const CompactionOptions& options = {});
   // Stops and joins the merge thread (idempotent; also run by ~SharedStore).
   void StopCompaction();

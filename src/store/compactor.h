@@ -1,7 +1,7 @@
 // Background compaction driver for the generational closure tiers.
 //
 // A serving tip accumulates frozen segments and overlay facts as it
-// extends its closure across epochs (LooseDb::View's incremental path);
+// maintains its closure across epochs (LooseDb::View's maintenance path);
 // left alone, reads pay one probe per segment and the overlay's
 // node-based trees grow without bound. The Compactor runs a dedicated
 // merge thread that watches the tip's tier *shape* (segment count,

@@ -10,6 +10,7 @@ DeltaIndex DeltaIndex::Clone() const {
   DeltaIndex copy;
   copy.segments_ = segments_;  // immutable, shared by pointer
   copy.frozen_count_ = frozen_count_;
+  copy.erase_count_ = erase_count_;
   copy.overlay_.CopyFrom(overlay_);
   copy.overlay_hash_ = overlay_hash_;
   return copy;
@@ -77,19 +78,47 @@ size_t DeltaIndex::InsertRun(const std::vector<Fact>& run) {
   while (segments_.size() >= 2 &&
          segments_.back()->size() * 2 >=
              segments_[segments_.size() - 2]->size()) {
-    const FrozenIndex& a = *segments_[segments_.size() - 2];
-    const FrozenIndex& b = *segments_.back();
-    std::vector<Fact> both = a.Materialize();
-    const size_t mid = both.size();
-    std::vector<Fact> newer = b.Materialize();
-    both.insert(both.end(), newer.begin(), newer.end());
-    std::inplace_merge(both.begin(), both.begin() + mid, both.end(),
-                       OrderSrt());
+    // Segments are disjoint, so the newer one is a valid run to merge
+    // into the older one's columns and permutations.
+    auto merged = std::make_shared<const FrozenIndex>(FrozenIndex::Merged(
+        *segments_[segments_.size() - 2], segments_.back()->Materialize()));
     segments_.pop_back();
-    segments_.back() =
-        std::make_shared<const FrozenIndex>(FrozenIndex(std::move(both)));
+    segments_.back() = std::move(merged);
   }
   return added;
+}
+
+size_t DeltaIndex::Erase(const std::vector<Fact>& run) {
+  size_t erased = 0;
+  std::vector<Fact> hits;
+  for (auto& seg : segments_) {
+    hits.clear();
+    for (const Fact& f : run) {
+      if (seg->Contains(f)) hits.push_back(f);
+    }
+    if (hits.empty()) continue;
+    seg = std::make_shared<const FrozenIndex>(
+        FrozenIndex::Merged(*seg, {}, hits));
+    frozen_count_ -= hits.size();
+    erased += hits.size();
+  }
+  if (erased != 0) {
+    segments_.erase(std::remove_if(segments_.begin(), segments_.end(),
+                                   [](const auto& seg) {
+                                     return seg->size() == 0;
+                                   }),
+                    segments_.end());
+  }
+  if (!overlay_hash_.empty()) {
+    for (const Fact& f : run) {
+      if (overlay_hash_.erase(f) != 0) {
+        overlay_.Erase(f);
+        ++erased;
+      }
+    }
+  }
+  erase_count_ += erased;
+  return erased;
 }
 
 bool DeltaIndex::ForEach(const Pattern& p, const FactVisitor& visit) const {
@@ -145,19 +174,6 @@ std::vector<Fact> DeltaIndex::Materialize() const {
 
 FrozenIndex DeltaIndex::BuildMerged() const {
   return FrozenIndex(Materialize());
-}
-
-void DeltaIndex::Compact() {
-  if (segments_.size() <= 1 && overlay_.empty()) return;
-  FrozenIndex merged = BuildMerged();
-  frozen_count_ = merged.size();
-  segments_.clear();
-  if (merged.size() != 0) {
-    segments_.push_back(
-        std::make_shared<const FrozenIndex>(std::move(merged)));
-  }
-  overlay_.Clear();
-  overlay_hash_.clear();
 }
 
 bool DeltaIndex::SwapMergedPrefix(

@@ -23,10 +23,10 @@
 //    epochs for free and a background compactor can pin them, build one
 //    merged CSR generation off-thread, and SwapMergedPrefix it in with an
 //    identity-checked CAS (see store/compactor.h).
-//
-// Erase is intentionally absent: the closure is monotone, and removing
-// from a frozen segment would need tombstones this use case never pays
-// for.
+//  - Erase (the closure's delete-and-rederive path) removes overlay facts
+//    in place and replaces each segment holding an erased fact with a
+//    filtered copy; untouched segments stay shared. Reads pay nothing for
+//    it: there are no tombstones to filter.
 #ifndef LSD_STORE_DELTA_INDEX_H_
 #define LSD_STORE_DELTA_INDEX_H_
 
@@ -85,6 +85,15 @@ class DeltaIndex final : public FactSource {
   // Returns the number of facts actually added.
   size_t InsertRun(const std::vector<Fact>& run);
 
+  // Removes the facts of an SRT-sorted, duplicate-free run (facts in no
+  // tier are skipped). Overlay facts are erased in place; a segment
+  // holding any of them is replaced by a filtered copy
+  // (FrozenIndex::Merged with an erase run, linear in that segment), and
+  // a segment left empty is dropped. Segments holding none keep their
+  // pointer, so clones go on sharing them. Returns the number of facts
+  // removed and adds it to erase_count().
+  size_t Erase(const std::vector<Fact>& run);
+
   // O(segments * log deg) + O(1): overlay membership is answered by a
   // hash set shadowing the overlay; each segment is one packed binary
   // search over the source's row slice. The background compactor exists
@@ -131,11 +140,6 @@ class DeltaIndex final : public FactSource {
   // epoch's tiers, off the commit path.
   FrozenIndex BuildMerged() const;
 
-  // Foreground full merge: every segment plus the overlay folds into one
-  // segment. Kept for tools, tests, and cold loads; the serving path
-  // uses BuildMerged + SwapMergedPrefix instead.
-  void Compact();
-
   // The compactor's publish step. If this index's segment list still
   // starts with exactly `old_segments` (shared_ptr identity — the
   // generations the merge was built from), replaces that prefix with
@@ -155,6 +159,10 @@ class DeltaIndex final : public FactSource {
   size_t frozen_size() const { return frozen_count_; }
   size_t overlay_size() const { return overlay_.size(); }
   size_t segment_count() const { return segments_.size(); }
+  // Facts removed by Erase over this index's life (Clone copies it). A
+  // compaction plan pinned at an older count may hold an erased overlay
+  // fact under an unchanged segment prefix, so the install aborts it.
+  uint64_t erase_count() const { return erase_count_; }
 
   const std::vector<std::shared_ptr<const FrozenIndex>>& segments() const {
     return segments_;
@@ -174,6 +182,7 @@ class DeltaIndex final : public FactSource {
 
   std::vector<std::shared_ptr<const FrozenIndex>> segments_;
   size_t frozen_count_ = 0;  // sum of segment sizes
+  uint64_t erase_count_ = 0;
   TripleIndex overlay_;
   // Mirrors the overlay's contents for O(1) membership probes.
   std::unordered_set<Fact, FactHash> overlay_hash_;

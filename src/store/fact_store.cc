@@ -171,6 +171,23 @@ bool FactStore::IsClassRelationship(EntityId r) const {
   }
 }
 
+std::vector<uint8_t> FactStore::ClassRelationshipMask() const {
+  std::vector<uint8_t> mask(entities_.size(), 0);
+  for (EntityId e = 0; e < kNumBuiltinEntities && e < mask.size(); ++e) {
+    mask[e] = IsClassRelationship(e) ? 1 : 0;
+  }
+  // Past the built-ins, IsClassRelationship is exactly the mark.
+  base_.ForEach(Pattern(kAnyEntity, kEntIn, kEntClassRel),
+                [&mask](const Fact& f) {
+                  if (f.source >= kNumBuiltinEntities &&
+                      f.source < mask.size()) {
+                    mask[f.source] = 1;
+                  }
+                  return true;
+                });
+  return mask;
+}
+
 void FactStore::MarkClassRelationship(EntityId r) {
   Assert(Fact(r, kEntIn, kEntClassRel));
 }

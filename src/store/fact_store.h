@@ -203,6 +203,10 @@ class FactStore {
   // ISA is individual.
   bool IsClassRelationship(EntityId r) const;
   void MarkClassRelationship(EntityId r);
+  // IsClassRelationship (1 or 0) for every id below entities().size(),
+  // from one scan of the marks instead of an index lookup per id: the
+  // rule engine snapshots it for each fixpoint run.
+  std::vector<uint8_t> ClassRelationshipMask() const;
 
   // Monotonically increasing counter bumped on every Assert/Retract;
   // closures cache against it.

@@ -60,14 +60,16 @@ class FrozenIndex : public FactSource {
   // Convenience: freezes the contents of a dynamic index.
   static FrozenIndex FromTripleIndex(const TripleIndex& index);
 
-  // Builds base ∪ run in linear time (plus sorting the run, which is
-  // assumed small): the canonical columns are a two-way merge, and the
-  // permutations are rebuilt by merging the base's permutation stream
-  // with the sorted run through an old-row -> new-row mapping. `run`
-  // must be SRT-sorted, duplicate-free, and disjoint from `base` — this
-  // is the bulk-load path DeltaIndex uses to install a whole closure
-  // round without touching the overlay trees.
-  static FrozenIndex Merged(const FrozenIndex& base, std::vector<Fact> run);
+  // Builds (base − erase) ∪ run in linear time (plus sorting the run):
+  // the canonical columns are a two-way merge that skips the erased
+  // rows, and the permutations are rebuilt by merging the base's
+  // permutation streams (erased rows dropped) with the sorted run
+  // through an old-row -> new-row mapping. `run` must be SRT-sorted,
+  // duplicate-free, and disjoint from `base`; `erase` must be SRT-sorted
+  // (facts not in `base` are ignored). DeltaIndex rewrites segments
+  // with it: the insert path's tail merge, and Erase.
+  static FrozenIndex Merged(const FrozenIndex& base, std::vector<Fact> run,
+                            const std::vector<Fact>& erase = {});
 
   // Inline: Contains is the engine's per-candidate dedup probe and runs
   // millions of times per closure. The source offset narrows the search

@@ -211,17 +211,9 @@ struct Universe {
 
 class LatticeRun {
  public:
-  LatticeRun(uint64_t seed, bool incremental)
+  explicit LatticeRun(uint64_t seed)
       : rng_(seed),
-        store_(Options(incremental)),
-        incremental_(incremental),
         sessions_{ServerSession(1, &store_), ServerSession(2, &store_)} {}
-
-  static LooseDbOptions Options(bool incremental) {
-    LooseDbOptions options;
-    options.incremental_maintenance = incremental;
-    return options;
-  }
 
   void Run(int steps) {
     Commit("bootstrap", {{"K0", "ISA", "K1"},
@@ -243,9 +235,7 @@ class LatticeRun {
       if (::testing::Test::HasFatalFailure()) return;
     }
     // Sharing must actually happen, or the checks above prove little.
-    if (!incremental_) {
-      EXPECT_GT(shared_, 0) << "no commit reused its parent's lattice";
-    }
+    EXPECT_GT(shared_, 0) << "no commit reused its parent's lattice";
   }
 
  private:
@@ -315,7 +305,7 @@ class LatticeRun {
         return "diamond";
       case 2: {
         // Retract and re-assert one ISA fact in one commit group: the
-        // ISA slice ends where it began, through a full recompute.
+        // ISA slice ends where it began, and the changes cancel out.
         std::vector<NamedTriple> isa = AssertedWith(true);
         if (isa.empty()) return RandomStep();
         const NamedTriple f = isa[rng_.Uniform(isa.size())];
@@ -388,7 +378,7 @@ class LatticeRun {
       if (published.ok()) Published(before, *published);
       return std::string(enable ? "include " : "exclude ") + rule;
     }
-    if (roll == 8 && !incremental_) {
+    if (roll == 8) {
       EpochPtr before = store_.snapshot();
       EXPECT_TRUE(store_.CompactOnce().ok());
       Published(before, store_.snapshot());
@@ -431,7 +421,6 @@ class LatticeRun {
 
   Rng rng_;
   SharedStore store_;
-  const bool incremental_;
   Universe universe_;
   ServerSession sessions_[2];
   std::set<NamedTriple> asserted_;
@@ -439,13 +428,13 @@ class LatticeRun {
   int shared_ = 0;
 };
 
-// One database mutated in place, no clone in between: the batch engine
-// extends or recomputes its own closure, and the incremental engine
-// absorbs each point mutation into its live closure.
-void RunInPlace(uint64_t seed, bool incremental, int steps) {
+// One database mutated in place, no clone in between: its closure is
+// extended by each assert and deletes and re-derives for each retract,
+// ISA retracts included.
+void RunInPlace(uint64_t seed, int steps) {
   Rng rng(seed);
   const Universe universe;
-  LooseDb db(LatticeRun::Options(incremental));
+  LooseDb db;
   for (const std::string& name : universe.all()) db.entities().Intern(name);
   std::vector<NamedTriple> asserted;
   for (int step = 0; step < steps; ++step) {
@@ -471,9 +460,9 @@ void RunInPlace(uint64_t seed, bool incremental, int steps) {
 }
 
 TEST(LatticePropertyTest, InPlaceMutationsMatchBothReferences) {
-  for (bool incremental : {false, true}) {
-    SCOPED_TRACE(incremental ? "incremental" : "batch");
-    RunInPlace(/*seed=*/incremental ? 11 : 12, incremental, /*steps=*/40);
+  for (uint64_t seed : {11, 12}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    RunInPlace(seed, /*steps=*/40);
     if (HasFatalFailure()) return;
   }
 }
@@ -481,19 +470,8 @@ TEST(LatticePropertyTest, InPlaceMutationsMatchBothReferences) {
 TEST(LatticePropertyTest, RandomCommitSequencesMatchBothReferences) {
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    LatticeRun run(seed, /*incremental=*/false);
+    LatticeRun run(seed);
     run.Run(/*steps=*/40);
-    if (HasFatalFailure()) return;
-  }
-}
-
-// Both closure modes drive one generalization clock; the incremental
-// engine moves it on every point mutation.
-TEST(LatticePropertyTest, IncrementalMaintenanceMatchesBothReferences) {
-  for (uint64_t seed = 1; seed <= 2; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    LatticeRun run(seed, /*incremental=*/true);
-    run.Run(/*steps=*/24);
     if (HasFatalFailure()) return;
   }
 }

@@ -1,8 +1,10 @@
 // Background compaction must be invisible: any interleaving of commits
-// and merges yields a store whose closure — and whose answers to the
-// Sec 5.2 golden suite — are bit-identical to a never-compacted twin
-// fed the same commit sequence. Compaction rearranges storage
-// generations; it must never add, drop, or reorder a fact.
+// (retracts of frozen and of overlay facts included), merges and session
+// what-ifs yields a store whose closure — and whose answers to the
+// Sec 5.2 golden suite — are bit-identical to a never-compacted twin fed
+// the same commit sequence, and to a from-scratch recomputation.
+// Compaction rearranges storage generations; it must never add, drop, or
+// reorder a fact.
 #include <algorithm>
 #include <atomic>
 #include <set>
@@ -12,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "rules/rule_engine.h"
+#include "server/session.h"
 #include "server/shared_store.h"
 #include "util/random.h"
 #include "workload/university_domain.h"
@@ -34,6 +38,26 @@ std::vector<Fact> EnumerateClosure(const LooseDb& db) {
   }
   std::sort(out.begin(), out.end(), OrderSrt());
   return out;
+}
+
+// The tiers `db` serves equal ComputeClosure from scratch over its facts.
+void ExpectMatchesRecompute(const LooseDb& db, const std::string& what) {
+  ASSERT_TRUE(db.View().ok()) << what;
+  MathProvider math(&db.entities());
+  RuleEngine engine(&db.store(), &math);
+  auto fresh = engine.ComputeClosure(db.rules());
+  ASSERT_TRUE(fresh.ok()) << what << ": " << fresh.status().ToString();
+  EXPECT_EQ(db.closure()->base().Materialize(),
+            (*fresh)->base().Materialize())
+      << what << ": base tier";
+  EXPECT_EQ(db.closure()->derived().Materialize(),
+            (*fresh)->derived().Materialize())
+      << what << ": derived tier";
+}
+
+std::string Render(const Fact& f, const EntityTable& names) {
+  return "(" + names.Name(f.source) + ", " + names.Name(f.relationship) +
+         ", " + names.Name(f.target) + ")";
 }
 
 // The paper's Sec 5.2 probing menu, as a comparable digest.
@@ -74,17 +98,31 @@ TEST(CompactionPropertyTest, RandomInterleavingsMatchNeverCompactedTwin) {
     SharedStore compacted;
     SharedStore reference;
     for (SharedStore* s : {&compacted, &reference}) {
-      ASSERT_TRUE(s->Commit([](LooseDb& db) {
+      // The symbols are interned up front: a what-if on `compacted`
+      // interns the names it parses, and ids must stay equal.
+      ASSERT_TRUE(s->Commit([&names](LooseDb& db) {
                      workload::BuildCampusDomain(&db);
+                     for (const std::string& n : names) db.entities().Intern(n);
                      return Status::OK();
                    })
                       .ok());
     }
 
-    std::vector<Fact> asserted;  // retract pool, kept in sync twice
+    // Retract pool, as names: the campus facts (frozen since the
+    // bootstrap) and every asserted batch (overlay facts until a merge
+    // folds them).
+    std::vector<Fact> asserted;
+    std::vector<Fact> campus;
+    const EpochPtr bootstrap = reference.snapshot();
+    const EntityTable& campus_names = bootstrap->db().entities();
+    bootstrap->db().store().base().ForEach(Pattern(), [&](const Fact& f) {
+      campus.push_back(f);
+      return true;
+    });
+    ServerSession what_if(1, &compacted);
     for (int step = 0; step < 60; ++step) {
-      const uint32_t roll = rng.Uniform(10);
-      if (roll < 7 || asserted.empty()) {
+      const uint32_t roll = rng.Uniform(12);
+      if (roll < 6 || asserted.empty()) {
         std::vector<Fact> batch;
         const size_t n = 1 + rng.Uniform(5);
         for (size_t i = 0; i < n; ++i) {
@@ -95,25 +133,60 @@ TEST(CompactionPropertyTest, RandomInterleavingsMatchNeverCompactedTwin) {
         ASSERT_TRUE(CommitBatch(&reference, batch, names).ok());
         asserted.insert(asserted.end(), batch.begin(), batch.end());
       } else if (roll < 8) {
-        // Retraction: poisons the incremental-closure path, forcing the
-        // recompute fallback to coexist with compaction.
-        const Fact victim = asserted[rng.Uniform(asserted.size())];
-        for (SharedStore* s : {&compacted, &reference}) {
-          auto committed = s->Commit([&](LooseDb& db) {
-            db.Retract(names[victim.source], names[victim.relationship],
-                       names[victim.target]);
+        // Retraction of an asserted batch fact (in an overlay, or frozen
+        // by a merge) or of a campus fact (frozen): delete and re-derive
+        // on tiers the compactor also rewrites.
+        std::string s, r, t;
+        if (roll == 6) {
+          const Fact victim = asserted[rng.Uniform(asserted.size())];
+          s = names[victim.source];
+          r = names[victim.relationship];
+          t = names[victim.target];
+        } else {
+          const Fact victim = campus[rng.Uniform(campus.size())];
+          s = campus_names.Name(victim.source);
+          r = campus_names.Name(victim.relationship);
+          t = campus_names.Name(victim.target);
+        }
+        for (SharedStore* store : {&compacted, &reference}) {
+          auto committed = store->Commit([&](LooseDb& db) {
+            (void)db.Retract(s, r, t);
             return Status::OK();
           });
           ASSERT_TRUE(committed.ok()) << committed.status().ToString();
         }
-      } else {
+      } else if (roll < 10) {
         ASSERT_TRUE(compacted.CompactOnce().ok());
+      } else {
+        // A what-if layer over the compacted store: a hypothetical
+        // retract of a campus fact or assert of a batch-shaped fact.
+        std::string line = "hypo clear";
+        if (roll == 10) {
+          line = "hypo retract " +
+                 Render(campus[rng.Uniform(campus.size())], campus_names);
+        } else if (rng.Uniform(2) == 0) {
+          line = "hypo assert (" + names[rng.Uniform(names.size())] + ", " +
+                 names[rng.Uniform(5)] + ", " +
+                 names[rng.Uniform(names.size())] + ")";
+        }
+        auto out = what_if.Execute(line);
+        // A campus fact retracted for real since cannot be retracted
+        // hypothetically.
+        ASSERT_TRUE(out.ok() || out.status().IsNotFound())
+            << line << ": " << out.status().ToString();
       }
+      SCOPED_TRACE("step " + std::to_string(step));
+      ExpectMatchesRecompute(compacted.snapshot()->db(), "compacted");
+      ExpectMatchesRecompute(reference.snapshot()->db(), "reference");
+      auto pinned = what_if.Pin();
+      ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+      if (pinned->overlaid) ExpectMatchesRecompute(*pinned->db, "what-if");
       if (step % 15 == 14) {
         EXPECT_EQ(EnumerateClosure(compacted.snapshot()->db()),
                   EnumerateClosure(reference.snapshot()->db()))
             << "closures diverged at step " << step;
       }
+      if (HasFailure()) return;
     }
 
     // One final merge-down, then the twins must be indistinguishable.
@@ -150,6 +223,52 @@ TEST(CompactionPropertyTest, CompactOnceOnQuiescentStoreIsIdempotent) {
   EXPECT_EQ(facts, 0u);
   EXPECT_EQ(store.snapshot()->db().storage_generation(), gen);
   EXPECT_EQ(EnumerateClosure(store.snapshot()->db()), before);
+}
+
+// A plan pinned before a retract must not install: the retracted fact
+// sits in the base tier's overlay, so the segment prefix the plan merged
+// is unchanged, and only the tier's erase count shows that the merged
+// generation still holds the fact.
+TEST(CompactionPropertyTest, StalePlanAfterRetractAborts) {
+  SharedStore store;
+  ASSERT_TRUE(store
+                  .Commit([](LooseDb& db) {
+                    workload::BuildCampusDomain(&db);
+                    return Status::OK();
+                  })
+                  .ok());
+  ASSERT_TRUE(store
+                  .Commit([](LooseDb& db) {
+                    db.Assert("STALE-A", "LIKES", "STALE-B");
+                    return Status::OK();
+                  })
+                  .ok());
+  const LooseDb& pinned = store.snapshot()->db();
+  const Fact f(*pinned.entities().Lookup("STALE-A"),
+               *pinned.entities().Lookup("LIKES"),
+               *pinned.entities().Lookup("STALE-B"));
+  ASSERT_TRUE(pinned.closure()->base().overlay().Contains(f));
+  auto plan = pinned.BuildCompactionPlan();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_FALSE(plan->base.trivial());
+
+  ASSERT_TRUE(store
+                  .Commit([](LooseDb& db) {
+                    return db.Retract("STALE-A", "LIKES", "STALE-B");
+                  })
+                  .ok());
+  const auto before = store.snapshot()->db().closure()->base().segments();
+  auto installed = store.Commit(
+      [&plan](LooseDb& db) { return db.InstallCompactedTiers(*plan); });
+  EXPECT_TRUE(installed.status().IsAborted()) << installed.status().ToString();
+
+  const LooseDb& tip = store.snapshot()->db();
+  auto view = tip.View();
+  ASSERT_TRUE(view.ok());
+  EXPECT_FALSE((*view)->Contains(f));
+  EXPECT_FALSE(tip.store().Contains(f));
+  EXPECT_EQ(tip.closure()->base().segments(), before);
+  ExpectMatchesRecompute(tip, "after the aborted install");
 }
 
 // The background merge thread racing live writers and pinned readers:

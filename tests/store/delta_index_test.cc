@@ -36,15 +36,102 @@ TEST(DeltaIndexTest, CompactPreservesContents) {
   for (int i = 0; i < 300; ++i) {
     Fact f = RandomFact(rng);
     EXPECT_EQ(idx.Insert(f), reference.Insert(f));
-    if (i == 150) idx.Compact();
+    if (i == 150) {
+      // Fold the first half into one segment, as the compactor does.
+      auto merged = std::make_shared<const FrozenIndex>(idx.BuildMerged());
+      ASSERT_TRUE(idx.SwapMergedPrefix(idx.segments(), merged));
+      EXPECT_EQ(idx.overlay_size(), 0u);
+    }
   }
-  idx.Compact();
-  EXPECT_EQ(idx.overlay_size(), 0u);
-  EXPECT_EQ(idx.size(), reference.size());
+  const FrozenIndex merged = idx.BuildMerged();
+  EXPECT_EQ(merged.size(), reference.size());
+  EXPECT_EQ(merged.Materialize(), reference.Match(Pattern()));
+  EXPECT_EQ(idx.Materialize(), reference.Match(Pattern()));
   reference.ForEach(Pattern(), [&](const Fact& f) {
     EXPECT_TRUE(idx.Contains(f));
     return true;
   });
+}
+
+// A run of facts spread over two segments and the overlay.
+DeltaIndex ThreeTiers(std::vector<Fact>* all) {
+  DeltaIndex idx;
+  std::vector<Fact> old_run, new_run;
+  for (EntityId i = 0; i < 4 * DeltaIndex::kL0MinRun; ++i) {
+    old_run.push_back(Fact(i, 1, 2));
+  }
+  for (EntityId i = 0; i < DeltaIndex::kL0MinRun; ++i) {
+    new_run.push_back(Fact(i, 3, 4));
+  }
+  std::sort(new_run.begin(), new_run.end(), OrderSrt());
+  idx.InsertRun(old_run);
+  idx.InsertRun(new_run);  // too small to tail-merge into the first
+  idx.Insert(Fact(9000, 1, 2));
+  idx.Insert(Fact(9001, 1, 2));
+  *all = idx.Materialize();
+  return idx;
+}
+
+TEST(DeltaIndexTest, EraseOverlayOnlyKeepsEverySegment) {
+  std::vector<Fact> all;
+  DeltaIndex idx = ThreeTiers(&all);
+  ASSERT_EQ(idx.segment_count(), 2u);
+  const auto before = idx.segments();
+  DeltaIndex copy = idx.Clone();
+  EXPECT_EQ(idx.Erase({Fact(9000, 1, 2), Fact(9999, 1, 2)}), 1u);
+  EXPECT_EQ(idx.erase_count(), 1u);
+  EXPECT_FALSE(idx.Contains(Fact(9000, 1, 2)));
+  EXPECT_TRUE(idx.Contains(Fact(9001, 1, 2)));
+  EXPECT_EQ(idx.overlay_size(), 1u);
+  EXPECT_EQ(idx.size(), all.size() - 1);
+  ASSERT_EQ(idx.segment_count(), 2u);
+  EXPECT_EQ(idx.segments()[0].get(), before[0].get());
+  EXPECT_EQ(idx.segments()[1].get(), before[1].get());
+  // The clone taken before is unaffected.
+  EXPECT_TRUE(copy.Contains(Fact(9000, 1, 2)));
+  EXPECT_EQ(copy.erase_count(), 0u);
+}
+
+TEST(DeltaIndexTest, EraseRewritesOnlyTheSegmentsHoldingAFact) {
+  std::vector<Fact> all;
+  DeltaIndex idx = ThreeTiers(&all);
+  const auto before = idx.segments();
+  DeltaIndex copy = idx.Clone();
+  // Two facts of the newer segment; the older one holds neither.
+  const std::vector<Fact> gone = {Fact(5, 3, 4), Fact(7, 3, 4)};
+  EXPECT_EQ(idx.Erase(gone), 2u);
+  EXPECT_EQ(idx.erase_count(), 2u);
+  ASSERT_EQ(idx.segment_count(), 2u);
+  EXPECT_EQ(idx.segments()[0].get(), before[0].get()) << "untouched";
+  EXPECT_NE(idx.segments()[1].get(), before[1].get()) << "rewritten";
+  EXPECT_EQ(idx.frozen_size(), before[0]->size() + before[1]->size() - 2);
+  std::vector<Fact> want;
+  for (const Fact& f : all) {
+    if (f != gone[0] && f != gone[1]) want.push_back(f);
+  }
+  EXPECT_EQ(idx.Materialize(), want);
+  for (int mask = 0; mask < 8; ++mask) {
+    Pattern p;
+    if (mask & 1) p.source = 5;
+    if (mask & 2) p.relationship = 3;
+    if (mask & 4) p.target = 4;
+    size_t n = 0;
+    for (const Fact& f : want) n += p.Matches(f) ? 1 : 0;
+    EXPECT_EQ(idx.CountMatches(p), n) << "mask=" << mask;
+  }
+  // The clone still shares the old generation and sees both facts.
+  EXPECT_EQ(copy.segments()[1].get(), before[1].get());
+  EXPECT_TRUE(copy.Contains(gone[0]));
+
+  // Erasing every fact of a segment drops it.
+  std::vector<Fact> rest;
+  for (const Fact& f : want) {
+    if (f.relationship == 3) rest.push_back(f);
+  }
+  EXPECT_EQ(idx.Erase(rest), rest.size());
+  ASSERT_EQ(idx.segment_count(), 1u);
+  EXPECT_EQ(idx.segments()[0].get(), before[0].get());
+  EXPECT_EQ(idx.size(), all.size() - DeltaIndex::kL0MinRun);
 }
 
 TEST(DeltaIndexTest, InsertRunSmallGoesToOverlayLargeToSegment) {

@@ -39,6 +39,15 @@ TEST(FactStoreTest, RelationshipClasses) {
   EXPECT_TRUE(store.IsClassRelationship(kEntInv));
   EXPECT_TRUE(store.IsClassRelationship(kEntContra));
   EXPECT_FALSE(store.IsClassRelationship(kEntIsa));
+  // A mark on ISA does not make it a class relationship; the mask the
+  // rule engine snapshots agrees with IsClassRelationship on every id.
+  store.MarkClassRelationship(kEntIsa);
+  store.entities().Intern("HAS");
+  std::vector<uint8_t> mask = store.ClassRelationshipMask();
+  ASSERT_EQ(mask.size(), store.entities().size());
+  for (EntityId e = 0; e < mask.size(); ++e) {
+    EXPECT_EQ(mask[e] != 0, store.IsClassRelationship(e)) << e;
+  }
 }
 
 TEST(FactStoreTest, BaseSourceStreamsAssertedFacts) {

@@ -164,6 +164,38 @@ TEST_P(FrozenIndexPropertyTest, MergedEqualsFromScratchBuild) {
   std::vector<Fact> fresh;
   base.AppendMissing(all, &fresh);
   EXPECT_EQ(fresh, Sorted(run));
+
+  // With an erase run: a random subset of the base plus facts the base
+  // does not hold (ignored), against a from-scratch build of the rest.
+  std::vector<Fact> erase;
+  std::vector<Fact> kept;
+  for (const Fact& f : base_facts) {
+    (rng.Uniform(4) == 0 ? erase : kept).push_back(f);
+  }
+  erase.insert(erase.end(), run.begin(), run.begin() + run.size() / 2);
+  erase = Sorted(erase);
+  kept.insert(kept.end(), run.begin(), run.end());
+  const FrozenIndex pruned = FrozenIndex::Merged(base, run, erase);
+  const FrozenIndex pruned_scratch(kept);
+  ASSERT_EQ(pruned.size(), pruned_scratch.size());
+  EXPECT_EQ(pruned.Materialize(), pruned_scratch.Materialize());
+  EXPECT_EQ(pruned.DistinctSources(), pruned_scratch.DistinctSources());
+  EXPECT_EQ(pruned.DistinctRelationships(),
+            pruned_scratch.DistinctRelationships());
+  EXPECT_EQ(pruned.DistinctTargets(), pruned_scratch.DistinctTargets());
+  for (int mask = 0; mask < 8; ++mask) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const Pattern p = MakePattern(mask, rng, shape);
+      EXPECT_EQ(Sorted(pruned.Match(p)), Sorted(pruned_scratch.Match(p)))
+          << "erase, mask=" << mask;
+      EXPECT_EQ(pruned.CountMatches(p), pruned_scratch.CountMatches(p));
+    }
+  }
+  for (const Fact& f : erase) {
+    if (!pruned_scratch.Contains(f)) {
+      EXPECT_FALSE(pruned.Contains(f));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FrozenIndexPropertyTest,
