@@ -72,10 +72,12 @@ void RunScan(benchmark::State& state, ScanVariant variant) {
   lsd::FactStore* store = BuildStore(static_cast<size_t>(state.range(0)));
   lsd::EntityId rel = *store->entities().Lookup("R0");
   lsd::Pattern p(lsd::kAnyEntity, rel, lsd::kAnyEntity);
+  lsd::TripleIndex dynamic;
   std::unique_ptr<lsd::FrozenIndex> frozen;
-  if (variant != ScanVariant::kDynamic) {
-    frozen = std::make_unique<lsd::FrozenIndex>(
-        lsd::FrozenIndex::FromTripleIndex(store->base()));
+  if (variant == ScanVariant::kDynamic) {
+    for (const lsd::Fact& f : store->base().Materialize()) dynamic.Insert(f);
+  } else {
+    frozen = std::make_unique<lsd::FrozenIndex>(store->base().Materialize());
     if (variant == ScanVariant::kFrozenGather) {
       frozen->set_rel_scan_mode(lsd::FrozenIndex::RelScanMode::kGather);
     } else if (variant == ScanVariant::kFrozenDirect) {
@@ -90,7 +92,7 @@ void RunScan(benchmark::State& state, ScanVariant variant) {
       return true;
     };
     if (variant == ScanVariant::kDynamic) {
-      store->base().ForEach(p, count);
+      dynamic.ForEach(p, count);
     } else {
       frozen->ForEach(p, count);
     }

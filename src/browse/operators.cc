@@ -15,9 +15,17 @@ std::vector<Fact> TryEntity(const ClosureView& view, EntityId entity) {
     if (seen.insert(f).second) out.push_back(f);
     return true;
   };
-  view.ForEach(Pattern(entity, kAnyEntity, kAnyEntity), collect);
-  view.ForEach(Pattern(kAnyEntity, entity, kAnyEntity), collect);
-  view.ForEach(Pattern(kAnyEntity, kAnyEntity, entity), collect);
+  // Each group (the entity as source, as relationship, as target) is
+  // listed in fact-id order, not storage order, so a change of layout
+  // with no logical content (a compaction, a retract and re-assert)
+  // leaves the listing as it was.
+  for (const Pattern& p : {Pattern(entity, kAnyEntity, kAnyEntity),
+                           Pattern(kAnyEntity, entity, kAnyEntity),
+                           Pattern(kAnyEntity, kAnyEntity, entity)}) {
+    const size_t group = out.size();
+    view.ForEach(p, collect);
+    std::sort(out.begin() + group, out.end(), OrderSrt());
+  }
   return out;
 }
 

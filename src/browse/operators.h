@@ -19,7 +19,8 @@ namespace lsd {
 
 // try(e): every stored closure fact in which `entity` appears, without
 // duplicates, source-position facts first. Implemented as the union of
-// the three template queries (e,*,*), (*,e,*), (*,*,e).
+// the three template queries (e,*,*), (*,e,*), (*,*,e), each group in
+// fact-id (SRT) order.
 std::vector<Fact> TryEntity(const ClosureView& view, EntityId entity);
 
 // Renders the try() result, one fact per line.

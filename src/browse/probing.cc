@@ -312,7 +312,7 @@ std::vector<std::pair<Query, Substitution>> Prober::RetractionSet(
 StatusOr<ProbeResult> Prober::Probe(const Query& query,
                                     const ProbeOptions& options) const {
   ProbeResult result;
-  Evaluator evaluator(view_, entities_);
+  Evaluator evaluator(view_, entities_, view_->store().universe());
   EvalOptions eval_options;
   eval_options.max_rows = options.max_rows_per_result;
   eval_options.join_order = options.join_order;

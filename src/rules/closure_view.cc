@@ -4,18 +4,12 @@
 
 namespace lsd {
 
-ClosureView::ClosureView(const FactStore* store, const FactSource* derived,
-                         const MathProvider* math,
-                         const DeltaIndex* base_index)
-    : store_(store),
-      derived_(derived),
-      math_(math),
-      base_index_(base_index) {}
+ClosureView::ClosureView(const FactStore* store, const DeltaIndex* base,
+                         const FactSource* derived, const MathProvider* math)
+    : store_(store), base_(base), derived_(derived), math_(math) {}
 
 bool ClosureView::StoredContains(const Fact& f) const {
-  const bool in_base = base_index_ != nullptr ? base_index_->Contains(f)
-                                               : store_->Contains(f);
-  if (in_base) return true;
+  if (base_->Contains(f)) return true;
   return derived_ != nullptr && derived_->Contains(f);
 }
 
@@ -24,11 +18,7 @@ bool ClosureView::ForEachStored(const Pattern& p,
   // Base and derived are disjoint by construction (the rule engine never
   // re-derives an asserted fact), so plain concatenation is duplicate
   // free.
-  if (base_index_ != nullptr) {
-    if (!base_index_->ForEach(p, visit)) return false;
-  } else {
-    if (!store_->base().ForEach(p, visit)) return false;
-  }
+  if (!base_->ForEach(p, visit)) return false;
   if (derived_ != nullptr && !derived_->ForEach(p, visit)) return false;
   return true;
 }
@@ -60,12 +50,12 @@ bool ClosureView::ForEachIsaAxiom(const Pattern& p,
                                   const FactVisitor& visit) const {
   // Only called with relationship bound to ISA. Emits axiom facts not
   // already stored. The unbounded families ((E,ISA,E) etc.) are swept
-  // over the interned universe, which is finite.
+  // over the store's entity universe, which is finite.
   auto emit = [&](const Fact& f) {
     if (StoredContains(f)) return true;  // dedup against layer 1-2
     return visit(f);
   };
-  const size_t n = store_->entities().size();
+  const size_t n = store_->universe();
   if (p.SourceBound() && p.TargetBound()) {
     Fact f(p.source, kEntIsa, p.target);
     if (IsaAxiomHolds(f)) return emit(f);
@@ -200,22 +190,14 @@ bool ClosureView::SortedFreeValues(const Pattern& p,
       p.target == kEntTop) {
     return false;
   }
-  if (derived_ == nullptr) {
-    return base_index_ != nullptr
-               ? base_index_->SortedFreeValues(p, scratch, out)
-               : store_->base().SortedFreeValues(p, scratch, out);
-  }
+  if (derived_ == nullptr) return base_->SortedFreeValues(p, scratch, out);
   // The base run goes into the caller's scratch so that when the derived
   // tier contributes nothing to this pattern — most patterns, since
   // derivation concentrates on a few relationships — the base span
   // (possibly a zero-copy frozen column slice) passes through without
   // another copy.
   SortedIdSpan base_vals;
-  const bool base_ok =
-      base_index_ != nullptr
-          ? base_index_->SortedFreeValues(p, scratch, &base_vals)
-          : store_->base().SortedFreeValues(p, scratch, &base_vals);
-  if (!base_ok) return false;
+  if (!base_->SortedFreeValues(p, scratch, &base_vals)) return false;
   std::vector<EntityId> derived_scratch;
   SortedIdSpan derived_vals;
   if (!derived_->SortedFreeValues(p, &derived_scratch, &derived_vals)) {
@@ -241,9 +223,8 @@ bool ClosureView::SortedFreeValues(const Pattern& p,
 
 bool ClosureView::CanSortFreeValues(const Pattern& p) const {
   // Mirrors SortedFreeValues' decline conditions exactly, without
-  // touching the tiers: the stored layers (frozen run, delta index,
-  // dynamic base) can always stream a two-bound pattern, so only the
-  // virtual-layer conditions can decline.
+  // touching the tiers: the stored layers can always stream a two-bound
+  // pattern, so only the virtual-layer conditions can decline.
   if (p.BoundCount() != 2) return false;
   if (p.RelationshipBound() &&
       (p.relationship == kEntIsa ||
@@ -267,9 +248,7 @@ bool ClosureView::Enumerable(const Pattern& p) const {
 double ClosureView::EstimateMatchesBound(const Pattern& p,
                                          uint8_t bound_mask) const {
   auto stored = [&](const Pattern& q) {
-    double n = base_index_ != nullptr
-                   ? base_index_->EstimateMatchesBound(q, bound_mask)
-                   : store_->base_source().EstimateMatchesBound(q, bound_mask);
+    double n = base_->EstimateMatchesBound(q, bound_mask);
     if (derived_ != nullptr) {
       n += derived_->EstimateMatchesBound(q, bound_mask);
     }
@@ -291,7 +270,7 @@ double ClosureView::EstimateMatchesBound(const Pattern& p,
       // Reflexivity plus top/bottom axioms: a handful once an operand is
       // pinned, an entity-table sweep otherwise.
       const double axioms =
-          (s || t) ? 2.0 : 2.0 * static_cast<double>(store_->entities().size());
+          (s || t) ? 2.0 : 2.0 * static_cast<double>(store_->universe());
       return stored(p) + axioms;
     }
     if (MathProvider::IsComparator(p.relationship)) {
@@ -314,8 +293,7 @@ double ClosureView::EstimateMatchesBound(const Pattern& p,
 }
 
 size_t ClosureView::EstimateMatches(const Pattern& p) const {
-  size_t n = base_index_ != nullptr ? base_index_->CountMatches(p)
-                                     : store_->base().CountMatches(p);
+  size_t n = base_->CountMatches(p);
   if (derived_ != nullptr) n += derived_->EstimateMatches(p);
   if (p.RelationshipBound() && MathProvider::IsComparator(p.relationship)) {
     n += math_->EstimateMatches(p);

@@ -1,7 +1,7 @@
 // ClosureView: the queryable database closure (Sec 2.6) as a FactSource.
 //
 // Layers, deduplicated:
-//   1. asserted facts (FactStore base);
+//   1. asserted facts (the store's base tier);
 //   2. derived facts (rule engine output);
 //   3. virtual mathematical relations (MathProvider, Sec 3.6);
 //   4. generalization axioms (Sec 2.3): (E, ISA, E) reflexivity,
@@ -23,23 +23,19 @@
 #include "rules/math_provider.h"
 #include "store/delta_index.h"
 #include "store/fact_store.h"
-#include "store/frozen_index.h"
-#include "store/triple_index.h"
 
 namespace lsd {
 
 class ClosureView final : public FactSource {
  public:
-  // All pointers are borrowed and must outlive the view. `derived` is any
-  // FactSource holding the rule engine's output (a Closure's generational
-  // DeltaIndex, or any index in tests); it may be null (no rules
-  // applied). `base_index`, when non-null, is a generational snapshot of
-  // exactly the store's asserted facts: the view then serves the base
-  // layer from its columnar segments instead of the store's node-based
-  // index. Pass null to read the store directly.
-  ClosureView(const FactStore* store, const FactSource* derived,
-              const MathProvider* math,
-              const DeltaIndex* base_index = nullptr);
+  // All pointers are borrowed and must outlive the view. `base` holds
+  // exactly the store's asserted facts (a Closure passes its base tier,
+  // which it shares with the store). `derived` is any FactSource
+  // holding the rule engine's output (a Closure's derived DeltaIndex, or
+  // any index in tests); it may be null (no rules applied). The store
+  // answers class-relationship marks and bounds the entity universe.
+  ClosureView(const FactStore* store, const DeltaIndex* base,
+              const FactSource* derived, const MathProvider* math);
 
   bool Contains(const Fact& f) const override;
   bool ForEach(const Pattern& p, const FactVisitor& visit) const override;
@@ -85,9 +81,9 @@ class ClosureView final : public FactSource {
   bool AnyRewriteForEach(const Pattern& p, const FactVisitor& visit) const;
 
   const FactStore* store_;
+  const DeltaIndex* base_;
   const FactSource* derived_;
   const MathProvider* math_;
-  const DeltaIndex* base_index_;
 };
 
 }  // namespace lsd

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "rules/matcher.h"
-#include "store/frozen_index.h"
 
 namespace lsd {
 
@@ -339,37 +338,36 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::ComputeClosure(
     if (!rule.enabled) continue;
     LSD_RETURN_IF_ERROR(rule.Validate());
   }
-  // Read-only generational snapshot of the asserted facts: the store
-  // cannot change during the fixpoint, and frozen segments are much
-  // faster to probe than the store's node-based index.
-  DeltaIndex base(FrozenIndex::FromTripleIndex(store_->base()));
+  // The store cannot change during the fixpoint, so its own index is the
+  // read-only base tier.
+  std::shared_ptr<const DeltaIndex> base = store_->shared_base();
   DeltaIndex derived;
   ClosureStats stats;
   std::vector<Fact> delta_facts;
   if (options.strategy == ClosureOptions::Strategy::kSemiNaive) {
     // Round 1 treats every asserted fact as new.
-    delta_facts = base.Materialize();
+    delta_facts = base->Materialize();
   }
-  LSD_RETURN_IF_ERROR(RunFixpoint(rules, options, RoundMode::kDerive, &base,
-                                  &derived, &stats, std::move(delta_facts),
+  LSD_RETURN_IF_ERROR(RunFixpoint(rules, options, RoundMode::kDerive,
+                                  base.get(), &derived, &stats,
+                                  std::move(delta_facts),
                                   /*fire_virtual_only=*/true));
   return MakeClosure(std::move(base), std::move(derived), stats);
 }
 
 StatusOr<std::unique_ptr<Closure>> RuleEngine::ExtendClosure(
-    const std::vector<Rule>& rules, DeltaIndex base, DeltaIndex derived,
-    ClosureStats stats, std::vector<Fact> new_facts,
+    const std::vector<Rule>& rules, std::shared_ptr<const DeltaIndex> base,
+    DeltaIndex derived, ClosureStats stats, std::vector<Fact> new_facts,
     const ClosureOptions& options) const {
   LSD_RETURN_IF_ERROR(CheckMaintainable(rules, options));
-  // The new facts join the base tier; those the closure had not derived
-  // seed the first semi-naive round. Virtual-only rules are skipped:
-  // they fired when the seed closure was computed, and nothing they read
-  // has changed.
+  // The new facts are in the base tier already; those the closure had
+  // not derived seed the first semi-naive round. Virtual-only rules are
+  // skipped: they fired when the seed closure was computed, and nothing
+  // they read has changed.
   std::vector<Fact> moved;
   for (const Fact& f : new_facts) {
     if (derived.Contains(f)) moved.push_back(f);
   }
-  base.InsertRun(new_facts);
   if (!moved.empty()) {
     derived.Erase(moved);
     new_facts.erase(std::remove_if(new_facts.begin(), new_facts.end(),
@@ -380,26 +378,28 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::ExtendClosure(
                                    }),
                     new_facts.end());
   }
-  LSD_RETURN_IF_ERROR(RunFixpoint(rules, options, RoundMode::kDerive, &base,
-                                  &derived, &stats, std::move(new_facts),
+  LSD_RETURN_IF_ERROR(RunFixpoint(rules, options, RoundMode::kDerive,
+                                  base.get(), &derived, &stats,
+                                  std::move(new_facts),
                                   /*fire_virtual_only=*/false));
   return MakeClosure(std::move(base), std::move(derived), stats);
 }
 
 Status RuleEngine::RetractFromClosure(const std::vector<Rule>& rules,
                                       const std::vector<Fact>& retracted,
-                                      DeltaIndex* base, DeltaIndex* derived,
+                                      const DeltaIndex& old_base,
+                                      const DeltaIndex& base,
+                                      DeltaIndex* derived,
                                       ClosureStats* stats,
                                       std::vector<Fact>* erased,
                                       const ClosureOptions& options) const {
   LSD_RETURN_IF_ERROR(CheckMaintainable(rules, options));
   std::vector<Fact> over_deleted;
   LSD_RETURN_IF_ERROR(RunFixpoint(rules, options, RoundMode::kOverDelete,
-                                  base, derived, stats, retracted,
+                                  &old_base, derived, stats, retracted,
                                   /*fire_virtual_only=*/false,
                                   &over_deleted));
   std::sort(over_deleted.begin(), over_deleted.end(), OrderSrt());
-  base->Erase(retracted);
   derived->Erase(over_deleted);
 
   // Both runs are sorted and disjoint (retracted facts were in the base
@@ -409,32 +409,37 @@ Status RuleEngine::RetractFromClosure(const std::vector<Rule>& rules,
   std::merge(retracted.begin(), retracted.end(), over_deleted.begin(),
              over_deleted.end(), std::back_inserter(gone), OrderSrt());
   const std::vector<uint8_t> class_rel = store_->ClassRelationshipMask();
-  RoundContext ctx{nullptr, store_,     math_,         base,
+  RoundContext ctx{nullptr, store_,     math_,         &base,
                    derived, &class_rel, options.budget};
-  UnionSource survivors({base, derived, math_});
+  UnionSource survivors({&base, derived, math_});
   std::vector<Fact> seeds;
   for (const Fact& f : gone) {
+    // A fact the current base holds (an over-deleted one that the same
+    // batch asserts) stays out of the derived tier; the extension by
+    // the batch's asserts seeds it.
+    if (base.Contains(f)) continue;
     LSD_ASSIGN_OR_RETURN(bool proved,
                          HasOneStepProof(ctx, rules, survivors, f));
     if (proved) seeds.push_back(f);
   }
   erased->insert(erased->end(), gone.begin(), gone.end());
   derived->InsertRun(seeds);
-  return RunFixpoint(rules, options, RoundMode::kDerive, base, derived,
+  return RunFixpoint(rules, options, RoundMode::kDerive, &base, derived,
                      stats, std::move(seeds), /*fire_virtual_only=*/false);
 }
 
-std::unique_ptr<Closure> RuleEngine::MakeClosure(DeltaIndex base,
-                                                 DeltaIndex derived,
-                                                 ClosureStats stats) const {
+std::unique_ptr<Closure> RuleEngine::MakeClosure(
+    std::shared_ptr<const DeltaIndex> base, DeltaIndex derived,
+    ClosureStats stats) const {
   stats.derived_facts = derived.size();
-  return std::make_unique<Closure>(store_, math_, std::move(base),
-                                   std::move(derived), stats);
+  return std::make_unique<Closure>(
+      store_, math_, std::move(base),
+      std::make_shared<const DeltaIndex>(std::move(derived)), stats);
 }
 
 Status RuleEngine::RunFixpoint(const std::vector<Rule>& rules,
                                const ClosureOptions& options, RoundMode mode,
-                               DeltaIndex* base, DeltaIndex* derived,
+                               const DeltaIndex* base, DeltaIndex* derived,
                                ClosureStats* stats,
                                std::vector<Fact> delta_facts,
                                bool fire_virtual_only,

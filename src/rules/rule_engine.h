@@ -10,7 +10,7 @@
 // The semi-naive round is seed-first and parallel: the round's delta
 // facts are partitioned across worker threads, each worker unifies every
 // delta fact with every pinnable body atom and joins the remaining atoms
-// against a read-only snapshot (frozen base run + two-tier derived
+// against a read-only snapshot (the store's base index + the derived
 // index), accumulating candidates in a thread-local buffer; a
 // single-threaded merge then deduplicates and installs the new facts.
 // The derived set is identical for every thread count, including 1.
@@ -63,44 +63,44 @@ struct ClosureStats {
   size_t candidate_facts = 0;
 };
 
-// The materialized closure. Owns two generational tiers — the columnar
-// snapshot of the asserted facts the fixpoint ran against (base) and the
-// derived fact index — and exposes the queryable view (base ∪ derived ∪
-// virtual layers). The view serves the base layer from the snapshot: a
-// Closure is immutable, and a store mutation yields a new Closure built
-// on clones of these tiers (LooseDb::View: RuleEngine::RetractFromClosure
-// for retracts, RuleEngine::ExtendClosure for asserts). Both tiers are
-// DeltaIndexes, so clones share their segments across epochs, and the
-// background compactor can fold them (LooseDb::InstallCompactedTiers,
-// which uses the mutable accessors — only ever on a private, unpublished
-// clone).
+// The materialized closure: two generational tiers — the asserted facts
+// the fixpoint ran against (base) and the derived fact index — and the
+// queryable view over them (base ∪ derived ∪ virtual layers). A Closure
+// is immutable and holds its tiers by shared pointer: the base tier is
+// the store's own fact index at the closure's version (FactStore::
+// shared_base), and a clone of the database (LooseDb::CloneInto) shares
+// both tiers with a Closure of its own. A store mutation yields a new
+// Closure over the store's new index and a maintained copy of the
+// derived tier (LooseDb::View: RuleEngine::RetractFromClosure for
+// retracts, RuleEngine::ExtendClosure for asserts); a compaction yields
+// one over merged copies (LooseDb::InstallCompactedTiers).
 class Closure {
  public:
   Closure(const FactStore* store, const MathProvider* math,
-          DeltaIndex base, DeltaIndex derived, ClosureStats stats)
+          std::shared_ptr<const DeltaIndex> base,
+          std::shared_ptr<const DeltaIndex> derived, ClosureStats stats)
       : base_(std::move(base)),
         derived_(std::move(derived)),
         stats_(stats),
-        view_(store, &derived_, math, &base_) {}
+        view_(store, base_.get(), derived_.get(), math) {}
 
   Closure(const Closure&) = delete;
   Closure& operator=(const Closure&) = delete;
 
-  const DeltaIndex& base() const { return base_; }
-  const DeltaIndex& derived() const { return derived_; }
+  const DeltaIndex& base() const { return *base_; }
+  const DeltaIndex& derived() const { return *derived_; }
+  const std::shared_ptr<const DeltaIndex>& shared_base() const {
+    return base_;
+  }
+  const std::shared_ptr<const DeltaIndex>& shared_derived() const {
+    return derived_;
+  }
   const ClosureView& view() const { return view_; }
   const ClosureStats& stats() const { return stats_; }
 
-  // In-place tier surgery for the compaction swap. The view holds stable
-  // pointers to both tiers, so swapping their segment lists under it is
-  // safe — but only while no reader can see this closure (a commit
-  // clone before publication).
-  DeltaIndex* mutable_base() { return &base_; }
-  DeltaIndex* mutable_derived() { return &derived_; }
-
  private:
-  DeltaIndex base_;
-  DeltaIndex derived_;
+  std::shared_ptr<const DeltaIndex> base_;
+  std::shared_ptr<const DeltaIndex> derived_;
   ClosureStats stats_;
   ClosureView view_;
 };
@@ -113,50 +113,54 @@ class RuleEngine {
 
   // Computes the closure of the store's facts under the enabled rules.
   // Disabled rules (rule.enabled == false) are skipped — this implements
-  // the include()/exclude() operators of Sec 6.1.
+  // the include()/exclude() operators of Sec 6.1. The base tier is the
+  // store's fact index itself, shared, not a copy.
   StatusOr<std::unique_ptr<Closure>> ComputeClosure(
       const std::vector<Rule>& rules,
       const ClosureOptions& options = ClosureOptions()) const;
 
   // Extends a previously computed closure with `new_facts` — the facts
-  // asserted since `base`/`derived` were fixed — by running semi-naive
-  // rounds whose first delta is the new facts. Because the closure is
-  // monotone in the asserted facts (the caller guarantees no rule change
-  // and no class-relationship re-marking happened since), every
-  // derivation involving at least one new fact is found and everything
-  // else is already present, so the result equals ComputeClosure from
-  // scratch. A new fact the closure already derived only changes tier:
-  // it leaves `derived` and seeds nothing, as its consequences are
-  // present. Preconditions (caller-checked): `new_facts` is SRT-sorted,
-  // duplicate-free, disjoint from `base`, and the strategy is
-  // kSemiNaive. `stats` is the seed closure's stats, accumulated into.
-  // Virtual-only rules are skipped (they fired when the seed was
-  // computed).
+  // asserted since `derived` was fixed, already in `base` (the store's
+  // current index) — by running semi-naive rounds whose first delta is
+  // the new facts. Because the closure is monotone in the asserted facts
+  // (the caller guarantees no rule change and no class-relationship
+  // re-marking happened since), every derivation involving at least one
+  // new fact is found and everything else is already present, so the
+  // result equals ComputeClosure from scratch. A new fact the closure
+  // already derived only changes tier: it leaves `derived` and seeds
+  // nothing, as its consequences are present. Preconditions
+  // (caller-checked): `new_facts` is SRT-sorted and duplicate-free, and
+  // the strategy is kSemiNaive. `stats` is the seed closure's stats,
+  // accumulated into. Virtual-only rules are skipped (they fired when
+  // the seed was computed).
   StatusOr<std::unique_ptr<Closure>> ExtendClosure(
-      const std::vector<Rule>& rules, DeltaIndex base, DeltaIndex derived,
-      ClosureStats stats, std::vector<Fact> new_facts,
+      const std::vector<Rule>& rules, std::shared_ptr<const DeltaIndex> base,
+      DeltaIndex derived, ClosureStats stats, std::vector<Fact> new_facts,
       const ClosureOptions& options = ClosureOptions()) const;
 
-  // Removes `retracted` — asserted facts of `base` no longer in the store
-  // — from the closure held by `base`/`derived`, in place, by delete and
-  // re-derive (DRed; Gupta, Mumick & Subrahmanian, SIGMOD 1993):
-  //   1. over-delete: semi-naive rounds seeded with `retracted` read the
-  //      unmodified tiers and collect every head found in `derived`
-  //      (whatever used a deleted fact, transitively);
-  //   2. erase the retracted facts from `base` and the over-deleted ones
-  //      from `derived`;
-  //   3. re-derive: every erased fact with a one-step proof over the
-  //      survivors rejoins `derived` and seeds ordinary extension rounds,
-  //      which put back everything else still derivable.
-  // The result equals ComputeClosure over the remaining facts, at a cost
+  // Removes `retracted` — asserted facts of `old_base` that `base` (the
+  // store's current index) no longer holds — from the derived tier, in
+  // place, by delete and re-derive (DRed; Gupta, Mumick &
+  // Subrahmanian, SIGMOD 1993):
+  //   1. over-delete: semi-naive rounds seeded with `retracted` read
+  //      `old_base` and the unmodified `derived` and collect every head
+  //      found in `derived` (whatever used a deleted fact, transitively);
+  //   2. erase the over-deleted facts from `derived`;
+  //   3. re-derive: every retracted or over-deleted fact with a one-step
+  //      proof over `base` and the surviving `derived` rejoins
+  //      `derived` and seeds ordinary extension rounds, which put back
+  //      everything else still derivable.
+  // The result equals ComputeClosure over `base`'s facts, at a cost
   // proportional to the consequences of `retracted`. Same preconditions
   // as ExtendClosure; `retracted` is SRT-sorted and duplicate-free.
-  // Appends every fact erased in step 2 to `erased` (re-derived or not):
-  // the caller learns which ISA facts may have changed. On error the
-  // tiers are left partially updated; callers run this on clones.
+  // Appends every fact removed from the closure's tiers in steps 1-2 to
+  // `erased` (re-derived or not): the caller learns which ISA facts may
+  // have changed. On error `derived` is left partially updated; callers
+  // run this on a copy.
   Status RetractFromClosure(const std::vector<Rule>& rules,
                             const std::vector<Fact>& retracted,
-                            DeltaIndex* base, DeltaIndex* derived,
+                            const DeltaIndex& old_base,
+                            const DeltaIndex& base, DeltaIndex* derived,
                             ClosureStats* stats, std::vector<Fact>* erased,
                             const ClosureOptions& options =
                                 ClosureOptions()) const;
@@ -175,13 +179,14 @@ class RuleEngine {
   // untouched and append each head once to `over_deleted`.
   Status RunFixpoint(const std::vector<Rule>& rules,
                      const ClosureOptions& options, RoundMode mode,
-                     DeltaIndex* base, DeltaIndex* derived,
+                     const DeltaIndex* base, DeltaIndex* derived,
                      ClosureStats* stats, std::vector<Fact> delta_facts,
                      bool fire_virtual_only,
                      std::vector<Fact>* over_deleted = nullptr) const;
 
   // Wraps the tiers of a finished fixpoint.
-  std::unique_ptr<Closure> MakeClosure(DeltaIndex base, DeltaIndex derived,
+  std::unique_ptr<Closure> MakeClosure(std::shared_ptr<const DeltaIndex> base,
+                                       DeltaIndex derived,
                                        ClosureStats stats) const;
 
   const FactStore* store_;

@@ -8,12 +8,13 @@
 // Hypothetical mutations form the session-local *overlay*: a list of
 // retractions/assertions that exist only for this session. While the
 // overlay is non-empty, the session reads through a private
-// materialization — a clone of the pinned epoch with the overlay
-// applied, its closure maintained by delete and re-derive plus
-// extension — so the hypothesis propagates through
-// inference exactly as a real mutation would, yet no other session can
-// observe it. An empty overlay reads the shared epoch directly (the
-// fast path: shared closure, lattice, and plan cache).
+// materialization — a clone of the pinned epoch (sharing its facts,
+// closure tiers and entity table) with the overlay applied as erases
+// and inserts on its own copy of the fact index, its closure maintained
+// by delete and re-derive plus extension — so the hypothesis propagates
+// through inference exactly as a real mutation would, yet no other
+// session can observe it. An empty overlay reads the shared epoch
+// directly (the fast path: shared closure, lattice, and plan cache).
 //
 // Thread model: a session is owned by one connection and accessed by
 // one thread at a time; different sessions run fully in parallel.

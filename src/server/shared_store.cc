@@ -94,32 +94,44 @@ StatusOr<EpochPtr> SharedStore::CommitInternal(
   slot.checkpoint = checkpoint;
   std::unique_lock<std::mutex> lock(queue_mu_);
   queue_.push_back(&slot);
-  if (leader_active_) {
-    // Follower: a leader is already draining the queue and will pick
-    // this slot up in its next group. Wait for the verdict; the leader
-    // writes result/epoch before setting done under queue_mu_, so the
-    // reads below are ordered.
-    queue_cv_.wait(lock, [&slot] { return slot.done; });
-  } else {
-    // Leader: drain groups until the queue is empty, then abdicate.
-    // The first group contains our own slot; later groups are slots
-    // that arrived while we worked.
+  if (!leader_active_) {
+    // No leader at work: this caller leads a group of its own slot.
     leader_active_ = true;
-    while (!queue_.empty()) {
-      std::vector<CommitSlot*> group(queue_.begin(), queue_.end());
-      queue_.clear();
-      lock.unlock();
-      ProcessGroup(group);
-      lock.lock();
-      for (CommitSlot* s : group) s->done = true;
-      queue_cv_.notify_all();
+    HandOffLead();
+  }
+  // A follower waits for its verdict or for the lead. The leader writes
+  // result/epoch before setting done under queue_mu_, so the reads below
+  // are ordered.
+  queue_cv_.wait(lock, [&slot] { return slot.done || slot.lead; });
+  if (!slot.done) {
+    // Leader: process the group that holds this caller's slot, then
+    // pass the lead to the slots that queued meanwhile and return.
+    // Draining until the queue is empty instead would let followers that
+    // keep re-enqueueing hold this caller (and its acked write) for as
+    // long as they keep writing.
+    std::vector<CommitSlot*> group;
+    group.swap(next_group_);
+    lock.unlock();
+    ProcessGroup(group);
+    lock.lock();
+    for (CommitSlot* s : group) s->done = true;
+    if (queue_.empty()) {
+      leader_active_ = false;
+    } else {
+      HandOffLead();
     }
-    leader_active_ = false;
+    queue_cv_.notify_all();
   }
   lock.unlock();
 
   if (!slot.result.ok()) return slot.result;
   return slot.epoch;
+}
+
+void SharedStore::HandOffLead() {
+  next_group_.assign(queue_.begin(), queue_.end());
+  queue_.clear();
+  next_group_.front()->lead = true;
 }
 
 bool SharedStore::ApplySlots(std::vector<CommitSlot*>* slots,
@@ -172,7 +184,7 @@ void SharedStore::ProcessGroup(std::vector<CommitSlot*> group) {
   }
 
   // A group of Checkpoint() slots alone mutates nothing: checkpoint
-  // the tip as it stands, without an O(n) clone to learn that.
+  // the tip as it stands, without a clone to learn that.
   if (std::all_of(group.begin(), group.end(),
                   [](const CommitSlot* s) { return s->checkpoint; })) {
     AckGroup(group, snapshot());
@@ -340,8 +352,8 @@ Status SharedStore::CompactOnce(uint64_t* bytes_merged,
   // The pin → build → swap cycle. Building the merged generations is
   // the expensive part and runs entirely against the pinned, immutable
   // epoch — no lock held, readers and writers undisturbed. The swap
-  // goes through the ordinary commit path, whose clone transplants the
-  // tip's tiers by shared pointer; if commits that landed meanwhile
+  // goes through the ordinary commit path, whose clone shares the tip's
+  // tiers by pointer; if commits that landed meanwhile
   // tail-merged one of the pinned segments away, the install aborts and
   // the cycle retries from the fresh tip (bounded: under sustained
   // hostile interleaving the backlog keeps growing and the NEXT cycle

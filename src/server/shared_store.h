@@ -15,29 +15,37 @@
 // here and verifiably race-free.)
 //
 // An epoch is a fully warmed LooseDb that is never mutated again:
-// closure, generalization lattice and planner keying are materialized
-// before publication (LooseDb::Warm), the entity table is internally
-// synchronized (parsing and composed-relationship minting intern on the
-// fly), and the plan cache is mutex-guarded — so the epoch is safe for
-// any number of reader threads. Internally each epoch's closure sits in
-// the PR-1 frozen+delta two-tier index, and its closure and plan caches
-// are keyed by the PR-2 (store, rules) version pair (the lattice, shared
-// with the parent epoch while the ISA facts hold, by the generalization
-// clock); the commit path reuses that pair to detect and skip no-op
-// commits.
+// closure, generalization lattice, planner keying and entity universe
+// are fixed before publication (LooseDb::Warm), the entity table is
+// internally synchronized (parsing and composed-relationship minting
+// intern on the fly), and the plan cache is mutex-guarded — so the
+// epoch is safe for any number of reader threads. Epochs share their
+// storage structurally: the asserted facts (one generational index,
+// which is also the closure's base tier), the derived tier and the
+// entity table travel from epoch to epoch by shared_ptr, and a commit
+// copies only what it writes (LooseDb::CloneInto). The closure and plan
+// caches are keyed by the (store, rules) version pair (the lattice,
+// shared with the parent epoch while the ISA facts hold, by the
+// generalization clock); the commit path reuses that pair to detect and
+// skip no-op commits.
 //
 // Commit = GROUP commit (the rocksdb WriteBatch leader/follower shape).
-// Every epoch costs a full clone of the tip (O(n)), a warm, and — when
-// the store is durable — a WAL append and possibly an fsync; paying
-// that per writer caps throughput at 1/(clone+warm+fsync). Instead,
-// concurrent Commit callers enqueue their mutation closures as *slots*;
-// the first arrival becomes the group leader, drains the whole queue,
-// applies every pending slot to ONE clone, logs all of their WAL
-// records under ONE fflush+fsync (Wal::AppendBatch), warms ONCE, and
-// publishes ONE epoch. Followers just block until the leader marks
-// their slot done. N concurrent writers therefore cost ~1 writer, and
-// acked-writes/sec scales with the group size (bench_server
-// --write-pct measures exactly this).
+// Every epoch costs a clone of the tip (O(1) plus the overlay a first
+// write copies), a closure maintenance run, a warm and — when the store
+// is durable — a WAL append and possibly an fsync; paying the fsync per
+// writer caps throughput at 1/fsync. Instead, concurrent Commit callers
+// enqueue their mutation closures as *slots*; the first arrival leads a
+// group of its own slot. A group's leader applies every slot of the
+// group to ONE clone, logs all of their WAL records under ONE
+// fflush+fsync (Wal::AppendBatch), warms ONCE, and publishes ONE epoch;
+// then it hands the lead to the slots that queued meanwhile (the next
+// group, led by its oldest slot) and returns. Followers block until
+// their slot is done. Handing off instead of draining until the queue
+// is empty bounds a leader's wait by one group: otherwise writers that
+// keep re-enqueueing could hold the leader's own caller indefinitely.
+// N concurrent writers cost ~1 writer's fsync, and acked-writes/sec
+// scales with the group size (bench_server --write-pct measures exactly
+// this).
 //
 // Slot independence: a slot whose closure fails must not sink its
 // group. The leader drops the failed slot and replays the remaining
@@ -280,6 +288,7 @@ class SharedStore {
     Status result;
     EpochPtr epoch;
     bool done = false;
+    bool lead = false;  // handed the lead: process the next group
   };
 
   // Commit minus the writer backpressure — the compactor's own publishes
@@ -288,6 +297,9 @@ class SharedStore {
       const std::function<Status(LooseDb&)>& mutate,
       bool checkpoint = false);
 
+  // Moves every queued slot into the next group and gives its oldest
+  // slot the lead. Called with queue_mu_ held.
+  void HandOffLead();
   // Leader duties: clone the tip once, apply every slot, batch-log,
   // warm, publish. Fills every slot's result/epoch. Called without
   // queue_mu_ held; only one leader runs at a time.
@@ -314,11 +326,16 @@ class SharedStore {
   EpochPtr published_;
   std::atomic<uint64_t> commits_{0};
 
-  // The commit queue. queue_mu_ guards queue_, leader_active_, and
-  // every slot's done flag; the leader works outside the lock.
+  // The commit queue. queue_mu_ guards queue_, next_group_,
+  // leader_active_, and every slot's done and lead flags; the leader
+  // works outside the lock. A group is the slots queued when the lead
+  // passes (next_group_, whose oldest slot holds the lead until its
+  // caller wakes to process it); slots arriving later wait in queue_ for
+  // the next group.
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
   std::deque<CommitSlot*> queue_;
+  std::vector<CommitSlot*> next_group_;
   bool leader_active_ = false;
 
   // Durability (leader-only once attached; see OpenDurable).

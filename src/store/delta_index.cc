@@ -122,10 +122,45 @@ size_t DeltaIndex::Erase(const std::vector<Fact>& run) {
 }
 
 bool DeltaIndex::ForEach(const Pattern& p, const FactVisitor& visit) const {
+  if (p.BoundCount() == 0 &&
+      segments_.size() + (overlay_.empty() ? 0 : 1) > 1) {
+    return ForEachSrt(visit);
+  }
   for (const auto& seg : segments_) {
     if (!seg->ForEach(p, visit)) return false;
   }
   return overlay_.ForEach(p, visit);
+}
+
+bool DeltaIndex::ForEachSrt(const FactVisitor& visit) const {
+  std::vector<FrozenIndex::SrtCursor> runs;
+  runs.reserve(segments_.size());
+  for (const auto& seg : segments_) runs.emplace_back(seg.get());
+  auto next = overlay_.srt().begin();
+  const auto end = overlay_.srt().end();
+  const OrderSrt less;
+  for (;;) {
+    // The tiers are disjoint, so the smallest head is unique. A few
+    // tiers at most: a linear pick beats a heap.
+    FrozenIndex::SrtCursor* best = nullptr;
+    Fact head;
+    for (FrozenIndex::SrtCursor& run : runs) {
+      if (run.done()) continue;
+      const Fact f = run.fact();
+      if (best == nullptr || less(f, head)) {
+        best = &run;
+        head = f;
+      }
+    }
+    if (next != end && (best == nullptr || less(*next, head))) {
+      if (!visit(*next)) return false;
+      ++next;
+      continue;
+    }
+    if (best == nullptr) return true;
+    if (!visit(head)) return false;
+    best->Next();
+  }
 }
 
 size_t DeltaIndex::CountMatches(const Pattern& p) const {

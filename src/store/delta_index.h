@@ -69,8 +69,9 @@ class DeltaIndex final : public FactSource {
 
   // Explicit copy: segments are immutable and shared by pointer (O(1)
   // per segment); the overlay trees and shadow hash are deep-copied.
-  // This is how closure tiers travel across epochs (LooseDb::CloneInto)
-  // and how a seed survives a failed extension attempt.
+  // This is how a shared index is copied before it is written (the
+  // store's fact index on a clone's first fact change, the derived tier
+  // before closure maintenance, either tier before a compaction swap).
   DeltaIndex Clone() const;
 
   // Inserts into the overlay. Returns true if the fact was in no tier.
@@ -106,8 +107,11 @@ class DeltaIndex final : public FactSource {
   }
 
   // Streams every segment (oldest first), then the overlay. Within each
-  // tier the permutation order applies, but there is no global order
-  // across tiers (the FactSource contract promises no order anyway).
+  // tier the permutation order applies, and there is no global order
+  // across tiers — except for the full scan (no position bound), which
+  // merges the tiers' streams into SRT order, so a store's fact stream
+  // (snapshots, text export, samplers that pick facts by position) does
+  // not depend on how its facts are split across tiers.
   bool ForEach(const Pattern& p, const FactVisitor& visit) const override;
 
   // Exact: the tiers are disjoint, so counts add.
@@ -179,6 +183,8 @@ class DeltaIndex final : public FactSource {
   // the segments, then the overlay's hash probe.
   void AppendMissingAll(const std::vector<Fact>& run,
                         std::vector<Fact>* out) const;
+  // The full scan in SRT order: a k-way merge of the tiers' SRT streams.
+  bool ForEachSrt(const FactVisitor& visit) const;
 
   std::vector<std::shared_ptr<const FrozenIndex>> segments_;
   size_t frozen_count_ = 0;  // sum of segment sizes

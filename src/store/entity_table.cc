@@ -52,6 +52,12 @@ constexpr AliasSpec kAliases[] = {
     {"∇", "NONE"},    // ∇
 };
 
+// Bytes a string holds on the heap: none while it fits the
+// small-string buffer.
+size_t HeapBytes(const std::string& s) {
+  return s.capacity() > std::string().capacity() ? s.capacity() + 1 : 0;
+}
+
 }  // namespace
 
 EntityTable::EntityTable() {
@@ -83,8 +89,9 @@ EntityId EntityTable::InternWithKind(std::string_view normalized,
     row.numeric_value = *num;
   }
   EntityId id = static_cast<EntityId>(rows_.size());
-  by_name_.emplace(row.name, id);
+  auto key = by_name_.emplace(row.name, id).first;
   rows_.push_back(std::move(row));
+  name_heap_bytes_ += HeapBytes(key->first) + HeapBytes(rows_.back().name);
   return id;
 }
 
@@ -107,6 +114,14 @@ std::optional<EntityId> EntityTable::Lookup(std::string_view name) const {
   auto it = by_name_.find(normalized);
   if (it == by_name_.end()) return std::nullopt;
   return it->second;
+}
+
+size_t EntityTable::MemoryUsage() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  using Node = std::pair<const std::string, EntityId>;
+  return rows_.size() * sizeof(Row) + name_heap_bytes_ +
+         by_name_.bucket_count() * sizeof(void*) +
+         by_name_.size() * (sizeof(Node) + sizeof(void*));
 }
 
 std::optional<double> EntityTable::NumericValue(EntityId id) const {

@@ -148,6 +148,35 @@ class FrozenIndex : public FactSource {
 
   size_t size() const { return rel_.size(); }
 
+  // Forward cursor over the rows in SRT order (the canonical columns),
+  // for merging this segment's full scan with other SRT-ordered streams
+  // (DeltaIndex's ordered scan).
+  class SrtCursor {
+   public:
+    explicit SrtCursor(const FrozenIndex* index) : index_(index) { Settle(); }
+    bool done() const { return row_ >= index_->rel_.size(); }
+    Fact fact() const {
+      return Fact(source_, index_->rel_[row_], index_->tgt_[row_]);
+    }
+    void Next() {
+      ++row_;
+      Settle();
+    }
+
+   private:
+    // Advances the source past the sources whose rows end at or before
+    // the current row.
+    void Settle() {
+      while (!done() && index_->src_offsets_[source_ + 1] <= row_) {
+        ++source_;
+      }
+    }
+
+    const FrozenIndex* index_;
+    uint32_t row_ = 0;
+    EntityId source_ = 0;
+  };
+
  private:
   static uint64_t PackRt(EntityId r, EntityId t) {
     return (static_cast<uint64_t>(r) << 32) | t;

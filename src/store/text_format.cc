@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "store/delta_index.h"
 #include "util/string_util.h"
 
 namespace lsd {

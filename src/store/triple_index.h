@@ -35,7 +35,7 @@ class TripleIndex {
 
   // Explicit deep copy (copy construction stays deleted so accidental
   // copies cannot sneak into hot paths). DeltaIndex::Clone uses this to
-  // duplicate its overlay when transplanting closure tiers.
+  // duplicate its overlay.
   void CopyFrom(const TripleIndex& other) {
     srt_ = other.srt_;
     rts_ = other.rts_;
@@ -76,7 +76,7 @@ class TripleIndex {
   // Sorted distinct values of the single free position of a two-bound
   // pattern, collected into `scratch` from the permutation whose range
   // walk yields that position in ascending order. Same contract as
-  // FactSource::SortedFreeValues (IndexSource delegates here).
+  // FactSource::SortedFreeValues (DeltaIndex's overlay answers here).
   bool SortedFreeValues(const Pattern& p, std::vector<EntityId>* scratch,
                         SortedIdSpan* out) const;
 
@@ -91,6 +91,10 @@ class TripleIndex {
   size_t size() const { return srt_.size(); }
   bool empty() const { return srt_.empty(); }
   void Clear();
+
+  // The facts in SRT order, for callers that merge this index's full
+  // scan with other SRT-ordered streams (DeltaIndex's ordered scan).
+  const std::set<Fact, OrderSrt>& srt() const { return srt_; }
 
  private:
   std::set<Fact, OrderSrt> srt_;

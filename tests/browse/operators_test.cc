@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/loose_db.h"
+#include "server/shared_store.h"
 
 namespace lsd {
 namespace {
@@ -41,6 +44,42 @@ TEST_F(OperatorsTest, RenderTryViaFacade) {
   EXPECT_NE(out->find("try(JOHN):"), std::string::npos);
   EXPECT_NE(out->find("(JOHN, LIKES, FELIX)"), std::string::npos);
   EXPECT_FALSE(db_.Try("NOBODY").ok());
+}
+
+// try lists each group in fact-id order, so a change of layout with no
+// logical content — a compaction, a retract and re-assert — leaves the
+// listing byte-identical.
+TEST(TryOrderTest, ListingSurvivesLayoutChanges) {
+  SharedStore store;
+  auto loaded = store.Commit([](LooseDb& db) {
+    return db.LoadTextFile(std::string(LSD_SOURCE_DIR) + "/data/music.lsd");
+  });
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto try_john = [&store] {
+    auto out = store.snapshot()->db().Try("JOHN");
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    return out.ok() ? *out : std::string();
+  };
+  const std::string listing = try_john();
+  ASSERT_NE(listing.find("(JOHN, IN, EMPLOYEE)"), std::string::npos);
+
+  ASSERT_TRUE(store.CompactOnce().ok());
+  EXPECT_EQ(try_john(), listing);
+
+  auto retracted = store.Commit([](LooseDb& db) {
+    return db.Retract("JOHN", "IN", "EMPLOYEE");
+  });
+  ASSERT_TRUE(retracted.ok()) << retracted.status().ToString();
+  EXPECT_EQ(try_john().find("(JOHN, IN, EMPLOYEE)"), std::string::npos);
+  auto reasserted = store.Commit([](LooseDb& db) {
+    db.Assert("JOHN", "IN", "EMPLOYEE");
+    return Status::OK();
+  });
+  ASSERT_TRUE(reasserted.ok()) << reasserted.status().ToString();
+  EXPECT_EQ(try_john(), listing);
+
+  ASSERT_TRUE(store.CompactOnce().ok());
+  EXPECT_EQ(try_john(), listing);
 }
 
 // F5: the relation(employee, works-for department, earns salary) table.

@@ -102,19 +102,52 @@ TEST(LooseDbMemoryTest, ReportsPerTierBytes) {
   db.Assert("JOHN", "WORKS-FOR", "SHIPPING");
   db.Assert("SHIPPING", "IN", "DEPARTMENT");
   db.Assert("JOHN", "IN", "EMPLOYEE");
+  // A bulk load lands as a frozen segment beside those overlay facts.
+  std::vector<Fact> bulk;
+  for (int i = 0; i < 300; ++i) {
+    bulk.push_back(db.entities().InternFact("E" + std::to_string(i), "R",
+                                            "E" + std::to_string(i + 1)));
+  }
+  EXPECT_EQ(db.AssertAll(bulk), bulk.size());
   auto mem = db.MemoryUsage();
   ASSERT_TRUE(mem.ok());
-  // The frozen base tier holds the asserted snapshot: columns,
-  // permutations, and offset tables are all live.
+  // The frozen base segment: columns, permutations, and offset tables
+  // are all live; the single asserts sit in the overlay.
   EXPECT_GT(mem->base.frozen.run_bytes, 0u);
   EXPECT_GT(mem->base.frozen.perm_bytes, 0u);
   EXPECT_GT(mem->base.frozen.offset_bytes, 0u);
+  EXPECT_GT(mem->base.overlay_bytes, 0u);
   // The standard rules derive facts, so the derived tier is non-empty.
   EXPECT_GT(mem->derived.total(), 0u);
-  EXPECT_EQ(mem->total(), mem->base.total() + mem->derived.total());
+  EXPECT_GT(mem->entity_bytes, 0u);
+  EXPECT_EQ(mem->total(), mem->base.total() + mem->derived.total() +
+                              mem->entity_bytes + mem->pending_bytes);
   // Columnar CSR beats three sorted Fact arrays on the same fact set.
-  EXPECT_LT(mem->base.total(),
-            3 * sizeof(Fact) * db.store().size() + 4096);
+  EXPECT_LT(mem->base.frozen.total(), 3 * sizeof(Fact) * bulk.size());
+}
+
+TEST(LooseDbMemoryTest, TotalCountsNamesAndFacts) {
+  LooseDb db;
+  db.Assert("JOHN", "WORKS-FOR", "SHIPPING");
+  auto before = db.MemoryUsage();
+  ASSERT_TRUE(before.ok());
+  // Interning names grows the entity table's share.
+  for (int i = 0; i < 100; ++i) {
+    db.entities().Intern("A-RATHER-LONG-ENTITY-NAME-" + std::to_string(i));
+  }
+  auto named = db.MemoryUsage();
+  ASSERT_TRUE(named.ok());
+  EXPECT_GT(named->entity_bytes, before->entity_bytes);
+  EXPECT_GT(named->total(), before->total());
+  // Asserting facts grows the base tier's share.
+  for (int i = 0; i < 100; ++i) {
+    db.Assert("A-RATHER-LONG-ENTITY-NAME-" + std::to_string(i), "KNOWS",
+              "JOHN");
+  }
+  auto asserted = db.MemoryUsage();
+  ASSERT_TRUE(asserted.ok());
+  EXPECT_GT(asserted->base.total(), named->base.total());
+  EXPECT_GT(asserted->total(), named->total());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "store/delta_index.h"
+
 namespace lsd {
 namespace {
 
@@ -54,29 +56,27 @@ TEST(FactStoreTest, BaseSourceStreamsAssertedFacts) {
   FactStore store;
   store.Assert("A", "R", "B");
   store.Assert("A", "R", "C");
-  EXPECT_EQ(store.base_source().Match(Pattern()).size(), 2u);
-  EXPECT_EQ(store.base_source().EstimateMatches(Pattern()), 2u);
-  EXPECT_TRUE(store.base_source().Enumerable(Pattern()));
+  EXPECT_EQ(store.base().Match(Pattern()).size(), 2u);
+  EXPECT_EQ(store.base().EstimateMatches(Pattern()), 2u);
+  EXPECT_TRUE(store.base().Enumerable(Pattern()));
 }
 
 TEST(UnionSourceTest, DeduplicatesOverlappingLayers) {
-  TripleIndex a, b;
+  DeltaIndex a, b;
   a.Insert(Fact(1, 2, 3));
   a.Insert(Fact(1, 2, 4));
   b.Insert(Fact(1, 2, 3));  // overlaps a
   b.Insert(Fact(1, 2, 5));
-  IndexSource sa(&a), sb(&b);
-  UnionSource u({&sa, &sb});
+  UnionSource u({&a, &b});
   EXPECT_EQ(u.Match(Pattern()).size(), 3u);
   EXPECT_TRUE(u.Contains(Fact(1, 2, 5)));
   EXPECT_FALSE(u.Contains(Fact(9, 9, 9)));
 }
 
 TEST(UnionSourceTest, EarlyStopPropagates) {
-  TripleIndex a;
+  DeltaIndex a;
   for (EntityId i = 0; i < 10; ++i) a.Insert(Fact(1, 2, i));
-  IndexSource sa(&a);
-  UnionSource u({&sa});
+  UnionSource u({&a});
   int seen = 0;
   bool completed = u.ForEach(Pattern(), [&](const Fact&) {
     return ++seen < 2;
