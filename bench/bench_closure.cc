@@ -34,7 +34,7 @@ void RunClosure(benchmark::State& state, ClosureOptions::Strategy strategy,
   }
   db.Assert(taxonomy.Root(), "NEEDS", "OXYGEN");
 
-  MathProvider math(&db.store().entities());
+  MathProvider math(&db.store());
   RuleEngine engine(&db.store(), &math);
   ClosureOptions options;
   options.strategy = strategy;

@@ -33,7 +33,7 @@ World* BuildWorld(int employees) {
   options.salary_integrity_rule = false;
   lsd::workload::BuildOrgDomain(w->db.get(), options);
   w->math =
-      std::make_unique<lsd::MathProvider>(&w->db->store().entities());
+      std::make_unique<lsd::MathProvider>(&w->db->store());
   w->engine =
       std::make_unique<lsd::RuleEngine>(&w->db->store(), w->math.get());
   World* out = w.get();

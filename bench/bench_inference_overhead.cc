@@ -46,7 +46,7 @@ void BM_ClosureWithSynonyms(benchmark::State& state) {
   SynWorld* w =
       BuildWorld(static_cast<int>(state.range(0)),
                  static_cast<int>(state.range(1)));
-  lsd::MathProvider math(&w->db->store().entities());
+  lsd::MathProvider math(&w->db->store());
   lsd::RuleEngine engine(&w->db->store(), &math);
   size_t derived = 0;
   for (auto _ : state) {

@@ -366,21 +366,39 @@ Status ReplicationClient::ApplyRecords(
   // state (a retract of a missing fact, a rule that already exists) so
   // an overlap after a resubscribe cannot wedge the stream.
   StatusOr<EpochPtr> committed = store_->Commit([&records](LooseDb& db) {
+    // Consecutive assert (or retract) records land as one run, so a
+    // chunk rewrites a frozen segment once per stretch, not per record.
+    std::vector<Fact> run;
+    bool run_retracts = false;
+    auto flush = [&] {
+      run_retracts ? db.RetractAll(run) : db.AssertAll(run);
+      run.clear();
+    };
     for (const WalRecord& record : records) {
-      switch (static_cast<WalOpCode>(record.op)) {
+      const auto op = static_cast<WalOpCode>(record.op);
+      const bool retract = op == WalOpCode::kRetract;
+      const bool fact = retract || op == WalOpCode::kAssert;
+      if (!fact || retract != run_retracts) {
+        flush();
+        run_retracts = retract;
+      }
+      switch (op) {
         case WalOpCode::kAssert:
           if (record.fields.size() != 3) {
             return Status::DataLoss("malformed assert record");
           }
-          db.Assert(record.fields[0], record.fields[1], record.fields[2]);
+          run.push_back(db.entities().InternFact(
+              record.fields[0], record.fields[1], record.fields[2]));
           break;
         case WalOpCode::kRetract: {
           if (record.fields.size() != 3) {
             return Status::DataLoss("malformed retract record");
           }
-          Status s = db.Retract(record.fields[0], record.fields[1],
-                                record.fields[2]);
-          if (!s.ok() && !s.IsNotFound()) return s;
+          // An unknown name: the fact is absent, as after an overlap.
+          if (auto f = db.entities().LookupFact(
+                  record.fields[0], record.fields[1], record.fields[2])) {
+            run.push_back(*f);
+          }
           break;
         }
         case WalOpCode::kRule: {
@@ -405,9 +423,8 @@ Status ReplicationClient::ApplyRecords(
           if (record.fields.size() != 1) {
             return Status::DataLoss("malformed rule-toggle record");
           }
-          Status s = db.SetRuleEnabled(
-              record.fields[0],
-              static_cast<WalOpCode>(record.op) == WalOpCode::kEnableRule);
+          Status s = db.SetRuleEnabled(record.fields[0],
+                                       op == WalOpCode::kEnableRule);
           if (!s.ok() && !s.IsNotFound()) return s;
           break;
         }
@@ -416,6 +433,7 @@ Status ReplicationClient::ApplyRecords(
                                   std::to_string(record.op));
       }
     }
+    flush();
     return Status::OK();
   });
   return committed.ok() ? Status::OK() : committed.status();

@@ -35,7 +35,7 @@ bool Decidable(const EntityTable& entities, const Fact& f) {
 std::vector<IntegrityViolation> FindViolations(const ClosureView& view) {
   std::vector<IntegrityViolation> out;
   const EntityTable& entities = view.store().entities();
-  MathProvider math(&entities);
+  MathProvider math(&view.store());
 
   // Contradictory relationship pairs declared in the closure.
   std::multimap<EntityId, EntityId> contra;

@@ -202,7 +202,7 @@ TEST_P(EvaluatorPropertyTest, MatchesBruteForceReference) {
 
   auto view = db.View();
   ASSERT_TRUE(view.ok()) << view.status().ToString();
-  Evaluator evaluator(*view, &db.entities());
+  Evaluator evaluator(*view, &db.entities(), db.store().universe());
 
   FormulaGen gen(&rng, pool, query_rels);
   int compared = 0;

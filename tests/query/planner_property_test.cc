@@ -128,7 +128,7 @@ TEST_P(PlannerPropertyTest, AllPoliciesAgree) {
   BuildWorld(&rng, &db, &pool, &rels);
   auto view = db.View();
   ASSERT_TRUE(view.ok()) << view.status().ToString();
-  Evaluator evaluator(*view, &db.entities());
+  Evaluator evaluator(*view, &db.entities(), db.store().universe());
 
   PlannerCache cache;
   ConjunctionGen gen(&rng, pool, rels);

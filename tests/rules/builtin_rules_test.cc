@@ -12,7 +12,7 @@ namespace {
 class BuiltinRulesTest : public ::testing::Test {
  protected:
   BuiltinRulesTest()
-      : math_(&store_.entities()), engine_(&store_, &math_) {
+      : math_(&store_), engine_(&store_, &math_) {
     for (const Fact& f : StandardSeedFacts()) store_.Assert(f);
     rules_ = StandardRules();
   }

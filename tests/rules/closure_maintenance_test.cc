@@ -27,7 +27,7 @@ void ExpectMatchesRecompute(const LooseDb& db, const std::string& what) {
   ASSERT_TRUE(view.ok()) << what << ": " << view.status().ToString();
   const Closure* kept = db.closure();
   ASSERT_NE(kept, nullptr) << what;
-  MathProvider math(&db.entities());
+  MathProvider math(&db.store());
   RuleEngine engine(&db.store(), &math);
   auto fresh = engine.ComputeClosure(db.rules());
   ASSERT_TRUE(fresh.ok()) << what << ": " << fresh.status().ToString();

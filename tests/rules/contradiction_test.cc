@@ -11,7 +11,7 @@ namespace {
 class ContradictionTest : public ::testing::Test {
  protected:
   ContradictionTest()
-      : math_(&store_.entities()), engine_(&store_, &math_) {
+      : math_(&store_), engine_(&store_, &math_) {
     for (const Fact& f : StandardSeedFacts()) store_.Assert(f);
   }
 

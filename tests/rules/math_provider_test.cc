@@ -7,11 +7,11 @@ namespace {
 
 class MathProviderTest : public ::testing::Test {
  protected:
-  MathProviderTest() : math_(&entities_) {}
+  MathProviderTest() : math_(&store_) {}
 
-  EntityId E(const char* name) { return entities_.Intern(name); }
+  EntityId E(const char* name) { return store_.entities().Intern(name); }
 
-  EntityTable entities_;
+  FactStore store_;
   MathProvider math_;
 };
 
@@ -85,14 +85,14 @@ TEST_F(MathProviderTest, EnumerationWithOneBoundSweepsNumbers) {
   E("1");
   E("5");
   E("10");
-  EntityId n5 = *entities_.Lookup("5");
+  EntityId n5 = *store_.entities().Lookup("5");
   std::vector<EntityId> smaller;
   math_.ForEach(Pattern(kAnyEntity, kEntLess, n5), [&](const Fact& f) {
     smaller.push_back(f.source);
     return true;
   });
   ASSERT_EQ(smaller.size(), 1u);
-  EXPECT_EQ(smaller[0], *entities_.Lookup("1"));
+  EXPECT_EQ(smaller[0], *store_.entities().Lookup("1"));
 }
 
 TEST_F(MathProviderTest, EnumerabilityRules) {

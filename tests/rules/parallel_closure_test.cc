@@ -59,7 +59,7 @@ class ParallelClosureTest : public ::testing::TestWithParam<WorkloadParams> {
 
   std::unique_ptr<Closure> Compute(ClosureOptions::Strategy strategy,
                                    unsigned num_threads) {
-    MathProvider math(&db_.store().entities());
+    MathProvider math(&db_.store());
     RuleEngine engine(&db_.store(), &math);
     ClosureOptions options;
     options.strategy = strategy;

@@ -10,7 +10,7 @@ namespace {
 
 class RuleEngineTest : public ::testing::Test {
  protected:
-  RuleEngineTest() : math_(&store_.entities()), engine_(&store_, &math_) {}
+  RuleEngineTest() : math_(&store_), engine_(&store_, &math_) {}
 
   EntityId E(const char* name) { return store_.entities().Intern(name); }
 
@@ -132,7 +132,7 @@ TEST_F(RuleEngineTest, ClosureIsIdempotent) {
   store_.base().ForEach(Pattern(), copy);
   (*first)->derived().ForEach(Pattern(), copy);
 
-  MathProvider math2(&flattened.entities());
+  MathProvider math2(&flattened);
   RuleEngine engine2(&flattened, &math2);
   auto second = engine2.ComputeClosure(StandardRules());
   ASSERT_TRUE(second.ok());
@@ -156,7 +156,7 @@ TEST_P(StrategyEquivalenceTest, SemiNaiveEqualsNaive) {
   db.Assert("T0", "ACTS-ON", "T0.0");
   db.Assert("ACTS-ON", "INV", "ACTED-BY");
 
-  MathProvider math(&db.store().entities());
+  MathProvider math(&db.store());
   RuleEngine engine(&db.store(), &math);
 
   ClosureOptions semi, naive;

@@ -43,7 +43,7 @@ std::vector<Fact> EnumerateClosure(const LooseDb& db) {
 // The tiers `db` serves equal ComputeClosure from scratch over its facts.
 void ExpectMatchesRecompute(const LooseDb& db, const std::string& what) {
   ASSERT_TRUE(db.View().ok()) << what;
-  MathProvider math(&db.entities());
+  MathProvider math(&db.store());
   RuleEngine engine(&db.store(), &math);
   auto fresh = engine.ComputeClosure(db.rules());
   ASSERT_TRUE(fresh.ok()) << what << ": " << fresh.status().ToString();

@@ -3,12 +3,15 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <set>
 
 #include <gtest/gtest.h>
 
+#include "store/delta_index.h"
 #include "store/text_format.h"
 #include "util/crc32c.h"
 #include "util/failpoint.h"
+#include "util/random.h"
 
 namespace lsd {
 namespace {
@@ -222,6 +225,51 @@ TEST_F(PersistenceTest, WalReplayAppliesMutations) {
   EXPECT_EQ(stats.segments_replayed, 1u);
   EXPECT_FALSE(stats.tail_truncated);
   EXPECT_EQ(stats.bytes_dropped, 0u);
+}
+
+// Replay holds fact records back and applies each fact's last record
+// as one retract run and one assert run; the result must equal applying
+// the records one by one, for facts that start in a frozen segment, in
+// the overlay, or nowhere.
+TEST_F(PersistenceTest, WalReplayMatchesOneByOneApplication) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    FactStore writer;
+    FactStore replayed;
+    std::vector<Fact> pool;
+    for (int i = 0; i < 400; ++i) {
+      const std::string s = "S" + std::to_string(i);
+      const std::string t = "T" + std::to_string(i % 7);
+      pool.push_back(writer.entities().InternFact(s, "R", t));
+      ASSERT_EQ(replayed.entities().InternFact(s, "R", t), pool.back());
+    }
+    // The state the log starts from: 300 facts in a frozen segment and
+    // 20 in the overlay.
+    const std::vector<Fact> bulk(pool.begin(), pool.begin() + 300);
+    replayed.AssertRun(bulk);
+    for (int i = 300; i < 320; ++i) replayed.Assert(pool[i]);
+    ASSERT_EQ(replayed.base().frozen_size(), 300u);
+    std::set<Fact, OrderSrt> expect(pool.begin(), pool.begin() + 320);
+    const std::string base = Path("mixed" + std::to_string(seed) + ".wal");
+    {
+      Wal wal;
+      ASSERT_TRUE(wal.Open(base).ok());
+      for (int op = 0; op < 600; ++op) {
+        const Fact f = pool[rng.Uniform(pool.size())];
+        if (rng.Uniform(2) == 0) {
+          ASSERT_TRUE(wal.AppendAssert(writer, f).ok());
+          expect.insert(f);
+        } else {
+          ASSERT_TRUE(wal.AppendRetract(writer, f).ok());
+          expect.erase(f);
+        }
+      }
+    }
+    ASSERT_TRUE(Wal::Replay(base, &replayed, nullptr).ok());
+    EXPECT_EQ(replayed.base().Materialize(),
+              std::vector<Fact>(expect.begin(), expect.end()));
+  }
 }
 
 TEST_F(PersistenceTest, WalReplayHandlesRulesAndToggles) {
