@@ -168,8 +168,10 @@ void BM_WalAppend(benchmark::State& state) {
     state.SkipWithError(opened.ToString().c_str());
     return;
   }
+  const std::vector<lsd::WalRecord> record = {
+      lsd::WalFactRecord(lsd::WalOpCode::kAssert, store.entities(), f)};
   for (auto _ : state) {
-    lsd::Status s = wal.AppendAssert(store, f);
+    lsd::Status s = wal.AppendBatch(record);
     if (!s.ok()) {
       state.SkipWithError(s.ToString().c_str());
       return;

@@ -58,8 +58,9 @@ std::vector<Fact> LooseDb::TakeChanges(const std::vector<Fact>& facts,
           run.begin());
       if (i == run.size() || run[i] != f || logged[i]) continue;
       logged[i] = true;
-      capture_->push_back(retract ? WalRetractRecord(store_, f)
-                                  : WalAssertRecord(store_, f));
+      capture_->push_back(WalFactRecord(
+          retract ? WalOpCode::kRetract : WalOpCode::kAssert,
+          store_.entities(), f));
     }
   }
   for (const Fact& f : run) NoteChange(f);
@@ -97,6 +98,65 @@ Status LooseDb::Retract(std::string_view source,
     return Status::NotFound("fact not asserted");
   }
   return Status::OK();
+}
+
+StatusOr<LooseDb::Tally> LooseDb::Apply(
+    const std::vector<WalRecord>& records) {
+  Tally tally;
+  std::vector<Fact> run;
+  bool run_retracts = false;
+  auto flush = [&] {
+    if (run_retracts) {
+      const size_t n = RetractAll(run);
+      tally.removed += n;
+      tally.missing += run.size() - n;
+    } else {
+      const size_t n = AssertAll(run);
+      tally.added += n;
+      tally.present += run.size() - n;
+    }
+    run.clear();
+  };
+  for (const WalRecord& record : records) {
+    const auto op = static_cast<WalOpCode>(record.op);
+    const std::vector<std::string>& fields = record.fields;
+    const bool retract = op == WalOpCode::kRetract;
+    if ((retract || op == WalOpCode::kAssert) && fields.size() == 3) {
+      if (retract != run_retracts) {
+        flush();
+        run_retracts = retract;
+      }
+      if (!retract) {
+        run.push_back(
+            store_.entities().InternFact(fields[0], fields[1], fields[2]));
+      } else if (auto f = store_.entities().LookupFact(fields[0], fields[1],
+                                                       fields[2])) {
+        run.push_back(*f);
+      } else {
+        ++tally.missing;
+      }
+      continue;
+    }
+    flush();
+    Status s;
+    if (op == WalOpCode::kRule && fields.size() == 1) {
+      auto rule = ParseSerializedRule(fields[0], &store_.entities());
+      s = rule.ok() ? AddRule(std::move(rule).value()) : rule.status();
+      if (s.code() == StatusCode::kAlreadyExists) s = Status::OK();
+    } else if ((op == WalOpCode::kEnableRule ||
+                op == WalOpCode::kDisableRule) &&
+               fields.size() == 1) {
+      s = SetRuleEnabled(fields[0], op == WalOpCode::kEnableRule);
+      if (s.IsNotFound()) s = Status::OK();
+    } else {
+      s = Status::DataLoss("malformed mutation record (opcode " +
+                           std::to_string(record.op) + ", " +
+                           std::to_string(fields.size()) + " fields)");
+    }
+    LSD_RETURN_IF_ERROR(s);
+  }
+  flush();
+  return tally;
 }
 
 void LooseDb::MarkClassRelationship(std::string_view relationship) {

@@ -76,6 +76,25 @@ class LooseDb {
   Status Retract(std::string_view source, std::string_view relationship,
                  std::string_view target);
 
+  // What Apply did with its fact records: an assert added its fact or
+  // found it present; a retract removed its fact or found it missing.
+  struct Tally {
+    size_t added = 0, present = 0, removed = 0, missing = 0;
+  };
+  // Applies mutation records in order: the one applier of records, for
+  // the server's write verbs and kMutation frames, the replication
+  // follower, and session what-ifs. Each stretch of consecutive asserts
+  // (or retracts) lands as one run (AssertAll/RetractAll), so a batch
+  // rewrites a frozen segment once per stretch; within a stretch a
+  // repeated fact counts once, as one-by-one calls would count it. A
+  // retract resolves its names without interning them, so a retract of
+  // an unknown name is missing and brings in no name. Rule records
+  // tolerate overlap with the current state: a rule that already exists
+  // or a toggle of an unknown rule is skipped. A record with an unknown
+  // opcode or the wrong field count is DataLoss, with the records before
+  // it applied.
+  StatusOr<Tally> Apply(const std::vector<WalRecord>& records);
+
   // Marks a relationship as a class relationship (Sec 2.2).
   void MarkClassRelationship(std::string_view relationship);
 

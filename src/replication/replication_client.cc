@@ -273,7 +273,15 @@ Status ReplicationClient::HandleLogChunk(const std::string& payload) {
     break;  // kNeedMore: the rest arrives in the next chunk
   }
   if (!records.empty()) {
-    LSD_RETURN_IF_ERROR(ApplyRecords(records));
+    // One commit per chunk: the whole parsed batch lands as one epoch,
+    // through the same group-commit path and the same applier a
+    // primary's writers use. LooseDb::Apply tolerates records already
+    // reflected in the base state (a retract of a missing fact, a rule
+    // that already exists), so an overlap after a resubscribe cannot
+    // wedge the stream.
+    auto committed = store_->Commit(
+        [&records](LooseDb& db) { return db.Apply(records).status(); });
+    LSD_RETURN_IF_ERROR(committed.status());
   }
 
   fed_pos_ = WalPosition{chunk.pos.generation, chunk.pos.segment_seq,
@@ -355,88 +363,6 @@ Status ReplicationClient::HandleSnapshotChunk(const std::string& payload) {
   monitor_->RecordApplied(chunk.primary_epoch, chunk.primary_epoch_ms);
   monitor_->AddSnapshot();
   return Status::OK();
-}
-
-Status ReplicationClient::ApplyRecords(
-    const std::vector<WalRecord>& records) {
-  // One commit per chunk: the whole parsed batch lands as one epoch,
-  // through the same group-commit path a primary's writers use. The
-  // closure is replay-safe (it only touches the fresh clone it is
-  // handed), and tolerant of records already reflected in the base
-  // state (a retract of a missing fact, a rule that already exists) so
-  // an overlap after a resubscribe cannot wedge the stream.
-  StatusOr<EpochPtr> committed = store_->Commit([&records](LooseDb& db) {
-    // Consecutive assert (or retract) records land as one run, so a
-    // chunk rewrites a frozen segment once per stretch, not per record.
-    std::vector<Fact> run;
-    bool run_retracts = false;
-    auto flush = [&] {
-      run_retracts ? db.RetractAll(run) : db.AssertAll(run);
-      run.clear();
-    };
-    for (const WalRecord& record : records) {
-      const auto op = static_cast<WalOpCode>(record.op);
-      const bool retract = op == WalOpCode::kRetract;
-      const bool fact = retract || op == WalOpCode::kAssert;
-      if (!fact || retract != run_retracts) {
-        flush();
-        run_retracts = retract;
-      }
-      switch (op) {
-        case WalOpCode::kAssert:
-          if (record.fields.size() != 3) {
-            return Status::DataLoss("malformed assert record");
-          }
-          run.push_back(db.entities().InternFact(
-              record.fields[0], record.fields[1], record.fields[2]));
-          break;
-        case WalOpCode::kRetract: {
-          if (record.fields.size() != 3) {
-            return Status::DataLoss("malformed retract record");
-          }
-          // An unknown name: the fact is absent, as after an overlap.
-          if (auto f = db.entities().LookupFact(
-                  record.fields[0], record.fields[1], record.fields[2])) {
-            run.push_back(*f);
-          }
-          break;
-        }
-        case WalOpCode::kRule: {
-          if (record.fields.size() != 1) {
-            return Status::DataLoss("malformed rule record");
-          }
-          // Same prefix convention the recovery replay parses.
-          RuleKind kind = RuleKind::kInference;
-          std::string_view body = record.fields[0];
-          if (body.rfind("integrity ", 0) == 0) {
-            kind = RuleKind::kIntegrity;
-            body = body.substr(10);
-          } else if (body.rfind("rule ", 0) == 0) {
-            body = body.substr(5);
-          }
-          Status s = db.DefineRule(body, kind);
-          if (!s.ok() && s.code() != StatusCode::kAlreadyExists) return s;
-          break;
-        }
-        case WalOpCode::kEnableRule:
-        case WalOpCode::kDisableRule: {
-          if (record.fields.size() != 1) {
-            return Status::DataLoss("malformed rule-toggle record");
-          }
-          Status s = db.SetRuleEnabled(record.fields[0],
-                                       op == WalOpCode::kEnableRule);
-          if (!s.ok() && !s.IsNotFound()) return s;
-          break;
-        }
-        default:
-          return Status::DataLoss("unknown WAL opcode " +
-                                  std::to_string(record.op));
-      }
-    }
-    flush();
-    return Status::OK();
-  });
-  return committed.ok() ? Status::OK() : committed.status();
 }
 
 }  // namespace lsd

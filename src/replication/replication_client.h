@@ -5,12 +5,12 @@
 // apply what arrives. kSnapshot chunks are reassembled into a scratch
 // file, Recover()ed into a fresh LooseDb, and swapped in wholesale via
 // SharedStore::ReplaceTip. kLogChunk bytes feed a WalRecordParser;
-// every complete record is applied through the store's ordinary
-// group-commit path (one Commit per chunk), so followers publish
-// epochs exactly the way primaries do and browse sessions pin them
-// unchanged. Any error — connection loss, a primary restart, an
-// injected fault — tears the connection down and reconnects with
-// exponential backoff, resubscribing from the last record-boundary
+// every complete record is applied by LooseDb::Apply through the
+// store's ordinary group-commit path (one Commit per chunk), so
+// followers publish epochs exactly the way primaries do and browse
+// sessions pin them unchanged. Any error — connection loss, a primary
+// restart, an injected fault — tears the connection down and reconnects
+// with exponential backoff, resubscribing from the last record-boundary
 // position (chunk start + bytes fed - bytes still buffered in the
 // record parser, which is exact because chunks never span segments and
 // records never span rotations).
@@ -81,8 +81,6 @@ class ReplicationClient {
   Status HandleLogChunk(const std::string& payload);
   Status HandleSnapshotChunk(const std::string& payload);
   Status HandleHeartbeat(const std::string& payload);
-  // Applies parsed records through the store's commit path.
-  Status ApplyRecords(const std::vector<WalRecord>& records);
   void FinishSnapshotFile();
   // Interruptible sleep; false when Stop() was requested.
   bool SleepMs(uint64_t ms);

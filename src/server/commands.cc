@@ -14,10 +14,12 @@
 // overlay); writes go through SharedStore::Commit and become visible to
 // all sessions at the next epoch.
 #include <cstdio>
+#include <iterator>
 #include <sstream>
 #include <string>
 
 #include "browse/dot_export.h"
+#include "query/lexer.h"
 #include "query/table_formatter.h"
 #include "replication/monitor.h"
 #include "server/session.h"
@@ -28,15 +30,37 @@ namespace lsd {
 
 namespace {
 
-// Parses "(S, R, T)" into a ground fact, interning entities in `db`.
-StatusOr<Fact> ParseGroundFact(LooseDb& db, std::string_view text) {
-  auto q = ParseQuery(text, &db.entities());
-  if (!q.ok()) return q.status();
-  if (q->root()->kind != NodeKind::kAtom ||
-      q->root()->atom.HasVariables()) {
-    return Status::InvalidArgument("expected a ground template (S, R, T)");
+// Parses "(S, R, T)" into a fact record of normalized names. It interns
+// nothing: the names reach the shared entity table only if an assert of
+// them is applied.
+StatusOr<WalRecord> ParseFactRecord(WalOpCode op, std::string_view text) {
+  LSD_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
+  constexpr TokenKind kShape[] = {
+      TokenKind::kLParen, TokenKind::kEntity, TokenKind::kComma,
+      TokenKind::kEntity, TokenKind::kComma,  TokenKind::kEntity,
+      TokenKind::kRParen, TokenKind::kEnd};
+  WalRecord record{static_cast<uint8_t>(op), {}};
+  for (size_t i = 0; i < std::size(kShape); ++i) {
+    if (i >= tokens.size() || tokens[i].kind != kShape[i]) {
+      return Status::InvalidArgument("expected a ground template (S, R, T)");
+    }
+    if (kShape[i] == TokenKind::kEntity) {
+      record.fields.push_back(EntityTable::Normalize(tokens[i].text));
+    }
   }
-  return q->root()->atom.Substitute(Binding(0));
+  return record;
+}
+
+std::string RenderFact(const WalRecord& record) {
+  return "(" + record.fields[0] + ", " + record.fields[1] + ", " +
+         record.fields[2] + ")";
+}
+
+std::string RenderTally(const LooseDb::Tally& tally) {
+  return "added " + std::to_string(tally.added) + ", present " +
+         std::to_string(tally.present) + ", removed " +
+         std::to_string(tally.removed) + ", missing " +
+         std::to_string(tally.missing) + "\n";
 }
 
 std::string RenderProbe(const ProbeResult& probe,
@@ -182,62 +206,26 @@ uint64_t ServerSession::EstimateCost(const std::string& cmd,
   return cost;
 }
 
-// The shared landing strip for both batched-mutation front ends (the
-// text assert*/retract* verbs and the binary kMutation frame): every op
-// of the batch goes into ONE SharedStore commit slot, so it shares its
-// group's single clone + warm + WAL fsync + epoch. The closure only
-// counts and mutates — it is re-invocation safe (group replay after
-// another slot fails resets the tallies).
-StatusOr<std::string> ServerSession::CommitMutations(
-    const std::vector<MutationOp>& ops) {
-  if (ops.empty()) return std::string("empty batch\n");
+// The shared landing strip of every fact-mutation front end (the text
+// assert/retract verbs, their batched assert*/retract* forms and the
+// binary kMutation frame): the records go into ONE SharedStore commit
+// slot, so they share their group's single clone + warm + WAL fsync +
+// epoch, and LooseDb::Apply lands them. The closure only counts and
+// mutates — it is re-invocation safe (group replay after another slot
+// fails resets the tally).
+StatusOr<LooseDb::Tally> ServerSession::CommitRecords(
+    const std::vector<WalRecord>& records) {
   // Pre-enqueue cancellation point: abort here and nothing mutated;
   // past Commit() the slot is in its group and the cancel waits for
   // the ack (see the commit-path comment in Execute()).
   LSD_RETURN_IF_ERROR(CheckBudget());
-  size_t added = 0, present = 0, removed = 0, missing = 0;
+  LooseDb::Tally tally;
   auto epoch = store_->Commit([&](LooseDb& db) -> Status {
-    added = present = removed = missing = 0;
-    // Each stretch of consecutive asserts (or retracts) lands as one
-    // run, so a batch rewrites a frozen segment once per stretch, not
-    // once per fact. Within a stretch a repeated fact counts once, as
-    // one-by-one calls would count it.
-    std::vector<Fact> run;
-    bool run_retracts = false;
-    auto flush = [&] {
-      if (run_retracts) {
-        const size_t n = db.RetractAll(run);
-        removed += n;
-        missing += run.size() - n;
-      } else {
-        const size_t n = db.AssertAll(run);
-        added += n;
-        present += run.size() - n;
-      }
-      run.clear();
-    };
-    for (const MutationOp& op : ops) {
-      if (op.retract != run_retracts) {
-        flush();
-        run_retracts = op.retract;
-      }
-      if (!op.retract) {
-        run.push_back(db.entities().InternFact(op.source, op.relationship,
-                                               op.target));
-      } else if (auto f = db.entities().LookupFact(
-                     op.source, op.relationship, op.target)) {
-        run.push_back(*f);
-      } else {
-        ++missing;
-      }
-    }
-    flush();
+    LSD_ASSIGN_OR_RETURN(tally, db.Apply(records));
     return Status::OK();
   });
   if (!epoch.ok()) return epoch.status();
-  return "added " + std::to_string(added) + ", present " +
-         std::to_string(present) + ", removed " + std::to_string(removed) +
-         ", missing " + std::to_string(missing) + "\n";
+  return tally;
 }
 
 StatusOr<std::string> ServerSession::ExecuteBatchMutation(
@@ -247,9 +235,36 @@ StatusOr<std::string> ServerSession::ExecuteBatchMutation(
     return Status::FailedPrecondition(
         "read-only follower: mutations must go to the primary");
   }
-  std::vector<MutationOp> ops;
-  LSD_RETURN_IF_ERROR(DecodeMutationPayload(payload, &ops));
-  return CommitMutations(ops);
+  // The whole payload is checked before the slot enqueues, so a
+  // malformed batch mutates nothing.
+  WalRecordParser parser;
+  parser.Feed(payload);
+  std::vector<WalRecord> records;
+  WalRecord record;
+  for (;;) {
+    const WalRecordParser::Result r = parser.Next(&record);
+    if (r == WalRecordParser::Result::kNeedMore) break;
+    if (r == WalRecordParser::Result::kError) {
+      return Status::InvalidArgument("malformed mutation record " +
+                                     std::to_string(records.size()) + ": " +
+                                     parser.error());
+    }
+    const auto op = static_cast<WalOpCode>(record.op);
+    if ((op != WalOpCode::kAssert && op != WalOpCode::kRetract) ||
+        record.fields.size() != 3) {
+      return Status::InvalidArgument(
+          "mutation record " + std::to_string(records.size()) +
+          " is not an assert or retract of three names");
+    }
+    records.push_back(std::move(record));
+  }
+  if (parser.buffered() != 0) {
+    return Status::InvalidArgument("mutation payload ends inside record " +
+                                   std::to_string(records.size()));
+  }
+  if (records.empty()) return std::string("empty batch\n");
+  LSD_ASSIGN_OR_RETURN(LooseDb::Tally tally, CommitRecords(records));
+  return RenderTally(tally);
 }
 
 StatusOr<std::string> ServerSession::ExecuteHypo(std::string_view rest) {
@@ -270,13 +285,11 @@ StatusOr<std::string> ServerSession::ExecuteHypo(std::string_view rest) {
   }
   if (sub == "list") {
     std::string out;
-    for (const NamedFact& f : hypo_retracts_) {
-      out += "retract (" + f.source + ", " + f.relationship + ", " +
-             f.target + ")\n";
+    for (const WalRecord& f : hypo_retracts_) {
+      out += "retract " + RenderFact(f) + "\n";
     }
-    for (const NamedFact& f : hypo_asserts_) {
-      out += "assert (" + f.source + ", " + f.relationship + ", " +
-             f.target + ")\n";
+    for (const WalRecord& f : hypo_asserts_) {
+      out += "assert " + RenderFact(f) + "\n";
     }
     if (out.empty()) out = "no hypotheticals\n";
     return out;
@@ -286,17 +299,19 @@ StatusOr<std::string> ServerSession::ExecuteHypo(std::string_view rest) {
         "usage: hypo assert|retract (S,R,T) | hypo list | hypo clear");
   }
 
-  // Validate against the base epoch (not the overlay): interning there
-  // is safe, and a hypothetical retraction should name a fact that is
-  // actually asserted.
-  EpochPtr epoch = store_->snapshot();
-  LooseDb& db = epoch->db();
-  LSD_ASSIGN_OR_RETURN(Fact f, ParseGroundFact(db, arg));
-  const EntityTable& e = db.entities();
-  NamedFact named{e.Name(f.source), e.Name(f.relationship),
-                  e.Name(f.target)};
-  if (sub == "retract") {
-    if (!db.store().Contains(f)) {
+  // A hypothetical retraction must name a fact the base epoch (not the
+  // overlay) actually asserts.
+  const bool retract = sub == "retract";
+  LSD_ASSIGN_OR_RETURN(
+      WalRecord named,
+      ParseFactRecord(retract ? WalOpCode::kRetract : WalOpCode::kAssert,
+                      arg));
+  if (retract) {
+    EpochPtr epoch = store_->snapshot();
+    const LooseDb& db = epoch->db();
+    auto f = db.entities().LookupFact(named.fields[0], named.fields[1],
+                                      named.fields[2]);
+    if (!f.has_value() || !db.store().Contains(*f)) {
       return Status::NotFound("fact not asserted in the shared store");
     }
     hypo_retracts_.push_back(std::move(named));
@@ -583,52 +598,47 @@ StatusOr<std::string> ServerSession::Execute(std::string_view line) {
   // check before a slot enqueues, which is the point of no return —
   // once Commit() is called the slot rides its group to the ack, so a
   // deadline or disconnect that fires mid-commit waits for the ack
-  // rather than tearing a half-applied mutation. (CommitMutations
-  // re-checks for the batched paths.)
+  // rather than tearing a half-applied mutation. (CommitRecords
+  // re-checks for the fact verbs.)
   if (IsMutationVerb(cmd)) LSD_RETURN_IF_ERROR(CheckBudget());
-  if (cmd == "assert*" || cmd == "retract*") {
-    // Batched form: many facts, one commit slot. Names are resolved
-    // against the pinned tip (interning there is safe — hypo does the
-    // same); a parse failure rejects this whole batch before it ever
-    // enqueues, so it cannot fail any other writer's slot.
-    EpochPtr pinned = store_->snapshot();
-    LooseDb& pdb = pinned->db();
-    std::vector<MutationOp> ops;
-    size_t pos = 0;
-    while (true) {
-      size_t open = rest.find('(', pos);
-      if (open == std::string::npos) break;
-      size_t close = rest.find(')', open);
-      if (close == std::string::npos) {
-        return Status::InvalidArgument("unbalanced '(' in batch");
+  if (cmd == "assert" || cmd == "retract" || cmd == "assert*" ||
+      cmd == "retract*") {
+    // Every fact is parsed before the slot enqueues: a malformed one
+    // rejects the whole request, so it cannot fail any other writer's
+    // slot, and nothing commits. A single verb is a batch of one.
+    const bool batch = cmd.back() == '*';
+    const bool retract = cmd[0] == 'r';
+    const WalOpCode op = retract ? WalOpCode::kRetract : WalOpCode::kAssert;
+    std::vector<WalRecord> records;
+    if (!batch) {
+      LSD_ASSIGN_OR_RETURN(WalRecord record, ParseFactRecord(op, rest));
+      records.push_back(std::move(record));
+    } else {
+      for (size_t pos = 0;;) {
+        const size_t open = rest.find('(', pos);
+        if (open == std::string::npos) break;
+        const size_t close = rest.find(')', open);
+        if (close == std::string::npos) {
+          return Status::InvalidArgument("unbalanced '(' in batch");
+        }
+        LSD_ASSIGN_OR_RETURN(
+            WalRecord record,
+            ParseFactRecord(op, std::string_view(rest).substr(
+                                    open, close - open + 1)));
+        records.push_back(std::move(record));
+        pos = close + 1;
       }
-      std::string_view chunk =
-          std::string_view(rest).substr(open, close - open + 1);
-      LSD_ASSIGN_OR_RETURN(Fact f, ParseGroundFact(pdb, chunk));
-      const EntityTable& e = pdb.entities();
-      ops.push_back(MutationOp{cmd == "retract*", e.Name(f.source),
-                               e.Name(f.relationship), e.Name(f.target)});
-      pos = close + 1;
-    }
-    if (ops.empty()) {
-      return Status::InvalidArgument("usage: " + cmd +
-                                     " (S,R,T) [(S,R,T) ...]");
-    }
-    return CommitMutations(ops);
-  }
-  if (cmd == "assert" || cmd == "retract") {
-    std::string out;
-    auto epoch = store_->Commit([&](LooseDb& db) -> Status {
-      LSD_ASSIGN_OR_RETURN(Fact f, ParseGroundFact(db, rest));
-      if (cmd == "assert") {
-        out = db.Assert(f) ? "added\n" : "already present\n";
-      } else {
-        out = db.Retract(f) ? "removed\n" : "not asserted\n";
+      if (records.empty()) {
+        return Status::InvalidArgument("usage: " + cmd +
+                                       " (S,R,T) [(S,R,T) ...]");
       }
-      return Status::OK();
-    });
-    if (!epoch.ok()) return epoch.status();
-    return out;
+    }
+    LSD_ASSIGN_OR_RETURN(LooseDb::Tally tally, CommitRecords(records));
+    if (batch) return RenderTally(tally);
+    if (retract) {
+      return std::string(tally.removed ? "removed\n" : "not asserted\n");
+    }
+    return std::string(tally.added ? "added\n" : "already present\n");
   }
   if (cmd == "rule" || cmd == "integrity") {
     auto epoch = store_->Commit([&](LooseDb& db) {

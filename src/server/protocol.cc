@@ -3,7 +3,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -203,70 +202,6 @@ StatusOr<BinaryFrame> ReadFrame(int fd, BinaryFrameParser* parser) {
     if (n == 0) return Status::IoError("connection closed mid-frame");
     parser->Feed(std::string_view(chunk, static_cast<size_t>(n)));
   }
-}
-
-std::string EncodeMutationPayload(const std::vector<MutationOp>& ops) {
-  std::string out;
-  PutU32(&out, static_cast<uint32_t>(ops.size()));
-  for (const MutationOp& op : ops) {
-    out.push_back(op.retract ? '\x02' : '\x01');
-    for (const std::string* field :
-         {&op.source, &op.relationship, &op.target}) {
-      PutU32(&out, static_cast<uint32_t>(field->size()));
-      out.append(*field);
-    }
-  }
-  return out;
-}
-
-Status DecodeMutationPayload(std::string_view payload,
-                             std::vector<MutationOp>* out) {
-  const unsigned char* p =
-      reinterpret_cast<const unsigned char*>(payload.data());
-  size_t pos = 0;
-  auto remaining = [&] { return payload.size() - pos; };
-  if (remaining() < 4) {
-    return Status::InvalidArgument("mutation payload shorter than its count");
-  }
-  const uint32_t count = GetU32(p + pos);
-  pos += 4;
-  out->clear();
-  out->reserve(std::min<uint32_t>(count, 4096));
-  for (uint32_t i = 0; i < count; ++i) {
-    if (remaining() < 1) {
-      return Status::InvalidArgument("mutation payload truncated at op " +
-                                     std::to_string(i));
-    }
-    const uint8_t op = p[pos++];
-    if (op != 1 && op != 2) {
-      return Status::InvalidArgument("unknown mutation opcode " +
-                                     std::to_string(op));
-    }
-    MutationOp parsed;
-    parsed.retract = (op == 2);
-    for (std::string* field :
-         {&parsed.source, &parsed.relationship, &parsed.target}) {
-      if (remaining() < 4) {
-        return Status::InvalidArgument("mutation payload truncated at op " +
-                                       std::to_string(i));
-      }
-      const uint32_t len = GetU32(p + pos);
-      pos += 4;
-      if (remaining() < len) {
-        return Status::InvalidArgument("mutation field length " +
-                                       std::to_string(len) +
-                                       " runs past the payload");
-      }
-      field->assign(payload.data() + pos, len);
-      pos += len;
-    }
-    out->push_back(std::move(parsed));
-  }
-  if (pos != payload.size()) {
-    return Status::InvalidArgument("trailing bytes after mutation " +
-                                   std::to_string(count));
-  }
-  return Status::OK();
 }
 
 StatusOr<WireResponse> ReadResponse(LineReader* reader) {

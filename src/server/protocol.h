@@ -25,7 +25,7 @@
 //   0       1     magic0 = 0xB5   (non-ASCII: never begins a text line)
 //   1       1     magic1 = 'L'
 //   2       1     magic2 = 'S'
-//   3       1     version = 1
+//   3       1     version = 2
 //   4       1     type: 0 request, 1 OK response, 2 ERR response,
 //                 3 batch-mutation request, 4 subscribe, 5 log chunk,
 //                 6 heartbeat, 7 snapshot chunk (4-7: replication
@@ -39,20 +39,28 @@
 // A type-3 (batch mutation) frame carries many asserts/retracts in one
 // request; the server lands the whole batch in ONE group-commit slot
 // (one clone + one WAL fsync + one epoch with the rest of its group).
-// Its payload:
+// Its payload is a run of WAL records, framed exactly as the log frames
+// them (EncodeWalRecord, src/store/persistence.h; its integers are in
+// the log's byte order, which is the host's):
 //
-//   u32 count, then count ops of:
-//     u8  op       1 = assert, 2 = retract
-//     u32 len, bytes   source entity name
-//     u32 len, bytes   relationship name
-//     u32 len, bytes   target name
+//   per record:
+//     u32 len, u32 crc32c   over len and the len bytes that follow
+//     u8  op                1 = assert, 2 = retract
+//     u8  nfields           3
+//     u32 len, bytes        source entity name
+//     u32 len, bytes        relationship name
+//     u32 len, bytes        target name
 //
+// The server decodes it with the WAL's record parser and applies it with
+// LooseDb::Apply, as the replication follower applies shipped records.
 // The response is an ordinary type-1/2 frame; on OK the payload is the
-// "added A / present B / removed C / missing D" tally (see
-// commands.cc). A malformed payload (unknown opcode, bad lengths)
-// rejects the whole frame and mutates nothing; a retract of an absent
-// fact or unknown entity is NOT an error — it just counts toward the
-// "missing" tally while the rest of the batch applies.
+// "added A, present B, removed C, missing D" tally (see commands.cc).
+// The whole payload is validated before the slot enqueues: a truncated
+// record, a bad checksum, a record that is not an assert or retract of
+// three names, or trailing bytes reject the frame and mutate nothing. A
+// retract of an absent fact or unknown entity is NOT an error — it just
+// counts toward the "missing" tally while the rest of the batch applies.
+// Version 1 carried a different type-3 layout; its frames are rejected.
 //
 // Clients may pipeline: any number of request frames can be in flight
 // on one connection, and each response carries the request id it
@@ -68,7 +76,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/status.h"
 
@@ -119,7 +126,7 @@ StatusOr<WireResponse> ReadResponse(LineReader* reader);
 inline constexpr uint8_t kBinaryMagic0 = 0xB5;  // the mode-sniff byte
 inline constexpr uint8_t kBinaryMagic1 = 'L';
 inline constexpr uint8_t kBinaryMagic2 = 'S';
-inline constexpr uint8_t kBinaryVersion = 1;
+inline constexpr uint8_t kBinaryVersion = 2;
 inline constexpr size_t kBinaryHeaderSize = 20;
 // Oversized-length frames are protocol errors, not allocation requests.
 inline constexpr uint32_t kMaxBinaryPayload = 16u << 20;
@@ -184,22 +191,6 @@ class BinaryFrameParser {
 // Blocking convenience for clients and tests: reads exactly one frame
 // from `fd` (EINTR-retrying). IoError on EOF or a malformed frame.
 StatusOr<BinaryFrame> ReadFrame(int fd, BinaryFrameParser* parser);
-
-// ---- Batch mutations (FrameType::kMutation payloads) ---------------------
-
-struct MutationOp {
-  bool retract = false;  // false = assert
-  std::string source, relationship, target;
-};
-
-// Renders the payload of a kMutation frame.
-std::string EncodeMutationPayload(const std::vector<MutationOp>& ops);
-
-// Parses a kMutation payload. InvalidArgument on a truncated or
-// malformed payload (unknown opcode, lengths past the end, trailing
-// garbage); `out` is left in an unspecified state on error.
-Status DecodeMutationPayload(std::string_view payload,
-                             std::vector<MutationOp>* out);
 
 }  // namespace lsd
 

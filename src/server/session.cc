@@ -45,23 +45,14 @@ StatusOr<ServerSession::PinnedDb> ServerSession::Pin() {
     options.standard_rules = false;
     auto clone = std::make_unique<LooseDb>(options);
     LSD_RETURN_IF_ERROR(epoch->db().CloneInto(clone.get()));
-    // Each side lands as one run. A fact retracted globally since the
-    // hypothesis was posed is already absent (or names an unknown
-    // entity) — the hypothesis holds vacuously. The clone keeps the
-    // epoch's universe, extended only by the names its asserts use.
-    EntityTable& names = clone->entities();
-    std::vector<Fact> facts;
-    for (const NamedFact& f : hypo_retracts_) {
-      if (auto fact = names.LookupFact(f.source, f.relationship, f.target)) {
-        facts.push_back(*fact);
-      }
-    }
-    clone->RetractAll(facts);
-    facts.clear();
-    for (const NamedFact& f : hypo_asserts_) {
-      facts.push_back(names.InternFact(f.source, f.relationship, f.target));
-    }
-    clone->AssertAll(facts);
+    // The retracts, then the asserts, each side one run. A fact
+    // retracted globally since the hypothesis was posed is already
+    // absent (or names an unknown entity) — the hypothesis holds
+    // vacuously. The clone keeps the epoch's universe, extended only by
+    // the names its asserts use.
+    std::vector<WalRecord> what_if = hypo_retracts_;
+    what_if.insert(what_if.end(), hypo_asserts_.begin(), hypo_asserts_.end());
+    LSD_RETURN_IF_ERROR(clone->Apply(what_if).status());
     overlay_db_ = std::move(clone);
     overlay_epoch_sequence_ = epoch->sequence();
     overlay_built_version_ = overlay_version_;

@@ -31,18 +31,11 @@
 #include <vector>
 
 #include "server/governance.h"
-#include "server/protocol.h"
 #include "server/shared_store.h"
 #include "util/budget.h"
 #include "util/status.h"
 
 namespace lsd {
-
-// A fact as the client spelled it; resolved against an epoch on use.
-// Names, not ids: ids are only stable within one epoch's entity table.
-struct NamedFact {
-  std::string source, relationship, target;
-};
 
 class SessionRegistry;
 class ReplicationMonitor;
@@ -99,10 +92,11 @@ class ServerSession {
   // prints after "! ".
   StatusOr<std::string> Execute(std::string_view line);
 
-  // Executes the payload of a binary kMutation frame: decodes the
-  // batch and lands every op in ONE group-commit slot (one clone, one
-  // WAL fsync, one epoch shared with the rest of the group). Returns
-  // the added/present/removed/missing tally, or InvalidArgument for a
+  // Executes the payload of a binary kMutation frame, a run of framed
+  // WAL records: decodes and validates the whole batch, then lands every
+  // record in ONE group-commit slot (one clone, one WAL fsync, one epoch
+  // shared with the rest of the group). Returns the
+  // added/present/removed/missing tally, or InvalidArgument for a
   // malformed payload (nothing mutates).
   StatusOr<std::string> ExecuteBatchMutation(std::string_view payload);
 
@@ -148,7 +142,9 @@ class ServerSession {
   uint64_t EstimateCost(const std::string& cmd, const std::string& rest);
 
   // Command handlers (commands.cc).
-  StatusOr<std::string> CommitMutations(const std::vector<MutationOp>& ops);
+  // Lands fact records in ONE commit slot through LooseDb::Apply.
+  StatusOr<LooseDb::Tally> CommitRecords(
+      const std::vector<WalRecord>& records);
   StatusOr<std::string> ExecuteHypo(std::string_view rest);
   StatusOr<std::string> ExecuteVisit(const std::string& entity);
   StatusOr<std::string> ExecuteBackForward(bool back);
@@ -165,9 +161,11 @@ class ServerSession {
   uint64_t requests_ = 0;
   uint64_t last_epoch_sequence_ = 0;
 
-  // Session-local hypothetical overlay.
-  std::vector<NamedFact> hypo_retracts_;
-  std::vector<NamedFact> hypo_asserts_;
+  // Session-local hypothetical overlay, as fact records of names (ids
+  // are only stable within one epoch's entity table), resolved against
+  // an epoch on use.
+  std::vector<WalRecord> hypo_retracts_;
+  std::vector<WalRecord> hypo_asserts_;
   uint64_t overlay_version_ = 0;  // bumped on any hypo change
 
   // Materialized overlay cache, keyed by (epoch sequence, overlay

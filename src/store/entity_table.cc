@@ -68,7 +68,7 @@ EntityTable::EntityTable() {
   }
 }
 
-std::string EntityTable::Normalize(std::string_view name) const {
+std::string EntityTable::Normalize(std::string_view name) {
   std::string upper = AsciiToUpper(StripWhitespace(name));
   for (const auto& a : kAliases) {
     if (upper == a.alias) return a.canonical;

@@ -39,6 +39,11 @@ class EntityTable {
   // resolves the unicode aliases the paper uses (≺, ∈, ≈, ↔, ⊥, ≠, ≤, ≥).
   EntityId Intern(std::string_view name);
 
+  // The form a name is interned and looked up under: whitespace
+  // stripped, ASCII upper case, the unicode aliases resolved. Reads no
+  // table, so a caller can normalize names it must not intern.
+  static std::string Normalize(std::string_view name);
+
   // Interns the three names of a fact. Every by-name assert interns
   // through here, so the order in which a fact's new names get their
   // ids is the same on every path (one by one or in bulk).
@@ -115,9 +120,6 @@ class EntityTable {
   };
 
   EntityId InternWithKind(std::string_view normalized, EntityKind kind);
-
-  // Canonicalizes case and unicode aliases.
-  std::string Normalize(std::string_view name) const;
 
   mutable std::shared_mutex mu_;
   std::deque<Row> rows_;

@@ -23,15 +23,8 @@ constexpr char kWalMagic[8] = {'L', 'S', 'D', 'W', 'A', 'L', '0', '2'};
 constexpr size_t kSegmentHeaderBytes = Wal::kSegmentHeaderSize;
 // A record length beyond this is certainly corruption, not data.
 constexpr uint32_t kMaxRecordBytes = 1u << 28;
-
-// Short aliases for the public WalOpCode values.
-constexpr uint8_t kOpAssert = static_cast<uint8_t>(WalOpCode::kAssert);
-constexpr uint8_t kOpRetract = static_cast<uint8_t>(WalOpCode::kRetract);
-constexpr uint8_t kOpRule = static_cast<uint8_t>(WalOpCode::kRule);
-constexpr uint8_t kOpEnableRule =
-    static_cast<uint8_t>(WalOpCode::kEnableRule);
-constexpr uint8_t kOpDisableRule =
-    static_cast<uint8_t>(WalOpCode::kDisableRule);
+// Replay reads a segment in pieces of this size.
+constexpr size_t kReplayReadBytes = 1 << 16;
 
 // File writer with a running CRC32C over everything written (the
 // snapshot trailer checks it).
@@ -93,22 +86,6 @@ class Reader {
  private:
   const char* p_;
   const char* end_;
-};
-
-// In-memory record encoder: a WAL record is staged in full, then
-// written with one fwrite so a crash can only tear it, not interleave.
-class BufWriter {
- public:
-  void U8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) { buf_.append(reinterpret_cast<char*>(&v), 4); }
-  void Str(std::string_view s) {
-    U32(static_cast<uint32_t>(s.size()));
-    buf_.append(s.data(), s.size());
-  }
-  const std::string& str() const { return buf_; }
-
- private:
-  std::string buf_;
 };
 
 struct FileCloser {
@@ -207,53 +184,45 @@ void FlushFacts(FactStore* store, PendingFacts* pending) {
   store->AssertRun(std::move(asserts));
 }
 
-// Applies one checksum-valid record to the store; fact records are held
-// back in `pending` until the end of the log (FlushFacts).
-// A false return means the record is structurally valid bytes but
-// semantically unparsable (wrong field count, bad rule text): recovery
-// salvages up to it.
-bool ApplyRecord(uint8_t op, const std::vector<std::string>& fields,
-                 FactStore* store, std::vector<Rule>* rules,
-                 PendingFacts* pending) {
+// Applies one decoded record to the store; fact records are held back
+// in `pending` until the end of the log (FlushFacts). A false return
+// means the record is well-framed bytes but semantically unparsable
+// (unknown opcode, wrong field count, bad rule text): recovery salvages
+// up to it.
+bool ApplyRecord(const WalRecord& record, FactStore* store,
+                 std::vector<Rule>* rules, PendingFacts* pending) {
+  const auto op = static_cast<WalOpCode>(record.op);
+  const std::vector<std::string>& fields = record.fields;
   switch (op) {
-    case kOpAssert:
-    case kOpRetract: {
+    case WalOpCode::kAssert:
+    case WalOpCode::kRetract: {
       if (fields.size() != 3) return false;
       pending->emplace_back(
           store->entities().InternFact(fields[0], fields[1], fields[2]),
-          op == kOpRetract);
+          op == WalOpCode::kRetract);
       return true;
     }
-    case kOpRule: {
+    case WalOpCode::kRule: {
       if (fields.size() != 1) return false;
-      RuleKind kind = RuleKind::kInference;
-      std::string_view body = fields[0];
-      if (body.rfind("integrity ", 0) == 0) {
-        kind = RuleKind::kIntegrity;
-        body = body.substr(10);
-      } else if (body.rfind("rule ", 0) == 0) {
-        body = body.substr(5);
-      }
-      auto rule = ParseRuleLine(body, kind, &store->entities());
+      auto rule = ParseSerializedRule(fields[0], &store->entities());
       if (!rule.ok()) return false;
       if (rules != nullptr) rules->push_back(std::move(rule).value());
       return true;
     }
-    case kOpEnableRule:
-    case kOpDisableRule: {
+    case WalOpCode::kEnableRule:
+    case WalOpCode::kDisableRule: {
       if (fields.size() != 1) return false;
       if (rules != nullptr) {
         for (Rule& rule : *rules) {
           if (rule.name == fields[0]) {
-            rule.enabled = (op == kOpEnableRule);
+            rule.enabled = (op == WalOpCode::kEnableRule);
           }
         }
       }
       return true;
     }
-    default:
-      return false;
   }
+  return false;
 }
 
 }  // namespace
@@ -444,17 +413,7 @@ Status LoadSnapshot(const std::string& path, FactStore* store,
   store->AssertRun(std::move(facts));
   std::vector<Rule> parsed;
   for (const auto& [text, enabled] : rule_texts) {
-    // Rules are stored in .lsd text; strip the keyword and re-parse.
-    RuleKind kind = RuleKind::kInference;
-    std::string_view rule_body = text;
-    if (rule_body.rfind("integrity ", 0) == 0) {
-      kind = RuleKind::kIntegrity;
-      rule_body = rule_body.substr(10);
-    } else if (rule_body.rfind("rule ", 0) == 0) {
-      rule_body = rule_body.substr(5);
-    }
-    LSD_ASSIGN_OR_RETURN(Rule rule,
-                         ParseRuleLine(rule_body, kind, &entities));
+    LSD_ASSIGN_OR_RETURN(Rule rule, ParseSerializedRule(text, &entities));
     rule.enabled = (enabled != 0);
     parsed.push_back(std::move(rule));
   }
@@ -627,20 +586,28 @@ Status Wal::BeginGeneration(uint64_t generation) {
   return Status::OK();
 }
 
-Status Wal::WriteRecord(const WalRecord& rec, uint64_t* bytes_written) {
-  // Stage the full record: [len][crc over len+payload][payload].
-  BufWriter payload;
-  payload.U8(rec.op);
-  payload.U8(static_cast<uint8_t>(rec.fields.size()));
-  for (const std::string& s : rec.fields) payload.Str(s);
-  const uint32_t len = static_cast<uint32_t>(payload.str().size());
+void EncodeWalRecord(const WalRecord& record, std::string* out) {
+  const size_t start = out->size();
+  out->append(8, '\0');  // [len][crc], filled in below
+  out->push_back(static_cast<char>(record.op));
+  out->push_back(static_cast<char>(record.fields.size()));
+  for (const std::string& field : record.fields) {
+    const uint32_t n = static_cast<uint32_t>(field.size());
+    out->append(reinterpret_cast<const char*>(&n), sizeof(n));
+    out->append(field);
+  }
+  const uint32_t len = static_cast<uint32_t>(out->size() - start - 8);
   uint32_t crc = Crc32cExtend(0, &len, sizeof(len));
-  crc = Crc32cExtend(crc, payload.str().data(), len);
+  crc = Crc32cExtend(crc, out->data() + start + 8, len);
+  std::memcpy(out->data() + start, &len, sizeof(len));
+  std::memcpy(out->data() + start + 4, &crc, sizeof(crc));
+}
+
+Status Wal::WriteRecord(const WalRecord& rec, uint64_t* bytes_written) {
+  // Stage the full record, then write it with one fwrite so a crash can
+  // only tear it, not interleave it.
   std::string record;
-  record.reserve(8 + len);
-  record.append(reinterpret_cast<const char*>(&len), 4);
-  record.append(reinterpret_cast<const char*>(&crc), 4);
-  record.append(payload.str());
+  EncodeWalRecord(rec, &record);
 
   // A crash policy here dies before any byte is written; a short-write
   // policy leaves a torn record on disk and poisons the log, exactly
@@ -740,52 +707,22 @@ Status Wal::AppendBatch(const std::vector<WalRecord>& records) {
   return Status::OK();
 }
 
-Status Wal::AppendRecord(uint8_t op,
-                         const std::vector<std::string>& fields) {
-  return AppendBatch({WalRecord{op, fields}});
-}
-
-WalRecord WalAssertRecord(const FactStore& store, const Fact& f) {
-  const EntityTable& e = store.entities();
-  return WalRecord{
-      kOpAssert,
-      {e.Name(f.source), e.Name(f.relationship), e.Name(f.target)}};
-}
-
-WalRecord WalRetractRecord(const FactStore& store, const Fact& f) {
-  const EntityTable& e = store.entities();
-  return WalRecord{
-      kOpRetract,
-      {e.Name(f.source), e.Name(f.relationship), e.Name(f.target)}};
+WalRecord WalFactRecord(WalOpCode op, const EntityTable& entities,
+                        const Fact& f) {
+  return WalRecord{static_cast<uint8_t>(op),
+                   {entities.Name(f.source), entities.Name(f.relationship),
+                    entities.Name(f.target)}};
 }
 
 WalRecord WalRuleRecord(const Rule& rule, const EntityTable& entities) {
-  return WalRecord{kOpRule, {SerializeRule(rule, entities)}};
+  return WalRecord{static_cast<uint8_t>(WalOpCode::kRule),
+                   {SerializeRule(rule, entities)}};
 }
 
 WalRecord WalRuleEnabledRecord(const std::string& rule_name, bool enabled) {
-  return WalRecord{enabled ? kOpEnableRule : kOpDisableRule, {rule_name}};
-}
-
-Status Wal::AppendAssert(const FactStore& store, const Fact& f) {
-  WalRecord rec = WalAssertRecord(store, f);
-  return AppendRecord(rec.op, rec.fields);
-}
-
-Status Wal::AppendRetract(const FactStore& store, const Fact& f) {
-  WalRecord rec = WalRetractRecord(store, f);
-  return AppendRecord(rec.op, rec.fields);
-}
-
-Status Wal::AppendRule(const Rule& rule, const EntityTable& entities) {
-  WalRecord rec = WalRuleRecord(rule, entities);
-  return AppendRecord(rec.op, rec.fields);
-}
-
-Status Wal::AppendSetRuleEnabled(const std::string& rule_name,
-                                 bool enabled) {
-  WalRecord rec = WalRuleEnabledRecord(rule_name, enabled);
-  return AppendRecord(rec.op, rec.fields);
+  return WalRecord{static_cast<uint8_t>(enabled ? WalOpCode::kEnableRule
+                                                : WalOpCode::kDisableRule),
+                   {rule_name}};
 }
 
 Status WalTailReader::Open(uint64_t seq, uint64_t offset) {
@@ -874,34 +811,24 @@ WalRecordParser::Result WalRecordParser::Next(WalRecord* out) {
   uint32_t expected = Crc32cExtend(0, &len, sizeof(len));
   expected = Crc32cExtend(expected, payload, len);
   if (expected != crc) {
-    error_ = "record checksum mismatch";
+    error_ = "checksum mismatch";
     return Result::kError;
   }
   // Decode op, field count, fields out of the verified payload.
-  if (len < 2) {
+  Reader r(payload, len);
+  uint8_t nfields = 0;
+  if (!r.U8(&out->op) || !r.U8(&nfields)) {
     error_ = "record payload shorter than its opcode";
     return Result::kError;
   }
-  out->op = static_cast<uint8_t>(payload[0]);
-  size_t nfields = static_cast<uint8_t>(payload[1]);
-  size_t at = 2;
-  out->fields.clear();
-  for (size_t i = 0; i < nfields; ++i) {
-    if (at + 4 > len) {
+  out->fields.resize(nfields);
+  for (std::string& field : out->fields) {
+    if (!r.Str(&field)) {
       error_ = "record field table truncated";
       return Result::kError;
     }
-    uint32_t flen;
-    std::memcpy(&flen, payload + at, 4);
-    at += 4;
-    if (at + flen > len) {
-      error_ = "record field runs past its payload";
-      return Result::kError;
-    }
-    out->fields.emplace_back(payload + at, flen);
-    at += flen;
   }
-  if (at != len) {
+  if (r.remaining() != 0) {
     error_ = "trailing bytes after record fields";
     return Result::kError;
   }
@@ -962,96 +889,58 @@ Status Wal::Replay(const std::string& base, FactStore* store,
       continue;
     }
 
+    // Stream the records through the parser. It buffers one read plus
+    // the record in progress; a damaged length field makes it wait for
+    // bytes that never come, which holds at most the rest of this
+    // segment (rotation bounds its size).
     ++s.segments_replayed;
-    long good_offset = std::ftell(f.get());
-    std::string bad_record_reason;
-    for (;;) {
-      uint32_t len = 0, crc = 0;
-      size_t n = std::fread(&len, 1, 4, f.get());
-      if (n == 0 && std::feof(f.get())) {
-        break;  // clean end of segment
-      }
-      bool torn = false;
-      std::string payload;
-      if (n != 4 || std::fread(&crc, 1, 4, f.get()) != 4) {
-        torn = true;  // torn inside the record header
-      } else if (len > kMaxRecordBytes) {
-        bad_record_reason = "implausible record length";
-        torn = true;
-      } else {
-        payload.resize(len);
-        if (len != 0 &&
-            std::fread(payload.data(), 1, len, f.get()) != len) {
-          torn = true;
-        }
-      }
-      if (!torn) {
-        uint32_t expected = Crc32cExtend(0, &len, sizeof(len));
-        expected = Crc32cExtend(expected, payload.data(), payload.size());
-        if (expected != crc) {
-          bad_record_reason = "checksum mismatch";
-          torn = true;
-        }
-      }
-      if (!torn) {
-        // Decode op, field count, fields out of the verified payload.
-        bool parsed = false;
-        std::vector<std::string> fields;
-        uint8_t op = 0;
-        if (payload.size() >= 2) {
-          op = static_cast<uint8_t>(payload[0]);
-          size_t nfields = static_cast<uint8_t>(payload[1]);
-          size_t pos = 2;
-          parsed = true;
-          for (size_t i = 0; i < nfields && parsed; ++i) {
-            if (pos + 4 > payload.size()) {
-              parsed = false;
-              break;
-            }
-            uint32_t flen;
-            std::memcpy(&flen, payload.data() + pos, 4);
-            pos += 4;
-            if (pos + flen > payload.size()) {
-              parsed = false;
-              break;
-            }
-            fields.emplace_back(payload.data() + pos, flen);
-            pos += flen;
-          }
-          if (parsed && pos != payload.size()) parsed = false;
-        }
-        if (!parsed || !ApplyRecord(op, fields, store, rules, &pending)) {
+    WalRecordParser parser;
+    WalRecord record;
+    std::vector<char> chunk(kReplayReadBytes);
+    uint64_t fed = 0;                         // record bytes read so far
+    uint64_t good_offset = kSegmentHeaderBytes;  // end of the last record
+    std::string bad_record_reason;  // set: the rest of the segment goes
+    bool eof = false;
+    while (bad_record_reason.empty()) {
+      const WalRecordParser::Result r = parser.Next(&record);
+      if (r == WalRecordParser::Result::kError) {
+        bad_record_reason = parser.error();
+      } else if (r == WalRecordParser::Result::kRecord) {
+        if (!ApplyRecord(record, store, rules, &pending)) {
           bad_record_reason = "unparsable record";
-          torn = true;
+          continue;
         }
-      }
-      if (torn) {
-        // Salvage the valid prefix: truncate the damage away so the
-        // next append continues from a clean boundary.
-        const long file_end = (std::fseek(f.get(), 0, SEEK_END),
-                               std::ftell(f.get()));
-        f.reset();
-        if (::truncate(seg.path.c_str(), good_offset) != 0) {
-          return Status::IoError("cannot truncate damaged WAL segment " +
-                                 seg.path);
-        }
-        s.bytes_dropped +=
-            static_cast<uint64_t>(file_end - good_offset);
-        s.tail_truncated = true;
-        damaged = true;
-        if (s.detail.empty()) {
-          s.detail =
-              (bad_record_reason.empty() ? std::string("torn record")
-                                         : bad_record_reason) +
-              " at offset " + std::to_string(good_offset) + " of " +
-              seg.path;
-        }
+        const uint64_t end = kSegmentHeaderBytes + fed - parser.buffered();
+        ++s.records_replayed;
+        s.bytes_replayed += end - good_offset;
+        good_offset = end;
+      } else if (!eof) {
+        const size_t n = std::fread(chunk.data(), 1, chunk.size(), f.get());
+        parser.Feed(std::string_view(chunk.data(), n));
+        fed += n;
+        eof = n < chunk.size();  // end of file, or a failed read
+      } else {
+        if (parser.buffered() != 0) bad_record_reason = "torn record";
         break;
       }
-      ++s.records_replayed;
-      long new_offset = std::ftell(f.get());
-      s.bytes_replayed += static_cast<uint64_t>(new_offset - good_offset);
-      good_offset = new_offset;
+    }
+    if (!bad_record_reason.empty()) {
+      // Salvage the valid prefix: truncate the damage away so the next
+      // append continues from a clean boundary.
+      const uint64_t file_end = FileSizeOrZero(seg.path);
+      f.reset();
+      if (::truncate(seg.path.c_str(), static_cast<off_t>(good_offset)) !=
+          0) {
+        return Status::IoError("cannot truncate damaged WAL segment " +
+                               seg.path);
+      }
+      s.bytes_dropped += file_end - good_offset;
+      s.tail_truncated = true;
+      damaged = true;
+      if (s.detail.empty()) {
+        s.detail = bad_record_reason + " at offset " +
+                   std::to_string(good_offset) + " of " + seg.path;
+      }
     }
   }
   FlushFacts(store, &pending);

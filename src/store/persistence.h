@@ -100,7 +100,7 @@ struct RecoveryStats {
 };
 
 // WAL record opcodes. Public so readers other than Replay (the
-// replication follower's replay loop) can interpret records.
+// replication follower, kMutation frames) can interpret records.
 enum class WalOpCode : uint8_t {
   kAssert = 1,
   kRetract = 2,
@@ -109,14 +109,23 @@ enum class WalOpCode : uint8_t {
   kDisableRule = 5,
 };
 
-// One staged WAL record: an opcode plus its name fields, not yet
-// framed. The group-commit leader collects the records of every
-// mutation in a commit group (LooseDb::set_mutation_capture) and hands
-// them to Wal::AppendBatch so the whole group shares one fflush+fsync.
+// One mutation record: an opcode plus its name fields. This is the only
+// form an assert, retract or rule change takes outside a LooseDb: the
+// log writes it, recovery and the replication follower read it back,
+// and a kMutation frame carries a run of them. The group-commit leader
+// collects the records of every mutation in a commit group
+// (LooseDb::set_mutation_capture) and hands them to Wal::AppendBatch so
+// the whole group shares one fflush+fsync; LooseDb::Apply applies them.
 struct WalRecord {
   uint8_t op = 0;
   std::vector<std::string> fields;
 };
+
+// The record framing, the one encoder: appends
+// [u32 len][u32 crc][u8 op][u8 nfields][u32 len, bytes]... to `out`,
+// where len counts the bytes after the crc and the crc (CRC32C) covers
+// len and those bytes. Integers are in host byte order.
+void EncodeWalRecord(const WalRecord& record, std::string* out);
 
 // A byte coordinate in the segmented log: (checkpoint generation,
 // segment sequence number, byte offset within that segment, header
@@ -148,9 +157,10 @@ struct WalSegmentInfo {
   std::string path;
 };
 
-// Builders producing the exact records the single-append methods log.
-WalRecord WalAssertRecord(const FactStore& store, const Fact& f);
-WalRecord WalRetractRecord(const FactStore& store, const Fact& f);
+// Builders producing the records LooseDb logs. `op` of a fact record is
+// kAssert or kRetract; its fields are the fact's three names.
+WalRecord WalFactRecord(WalOpCode op, const EntityTable& entities,
+                        const Fact& f);
 WalRecord WalRuleRecord(const Rule& rule, const EntityTable& entities);
 WalRecord WalRuleEnabledRecord(const std::string& rule_name, bool enabled);
 
@@ -189,29 +199,20 @@ class Wal {
   // stats reader can sample it while the writer appends.
   uint64_t generation_bytes() const { return generation_bytes_.load(); }
 
-  // Mutation records. Each call appends and flushes one record. Any
-  // append failure (real or injected) poisons the log: the active
-  // segment may hold a partial record, so further appends are refused
-  // until the log is reopened (and thereby salvaged) — interleaving
-  // good records after a torn one would turn a clean tail truncation
-  // into mid-file corruption.
-  Status AppendAssert(const FactStore& store, const Fact& f);
-  Status AppendRetract(const FactStore& store, const Fact& f);
-  Status AppendRule(const Rule& rule, const EntityTable& entities);
-  Status AppendSetRuleEnabled(const std::string& rule_name, bool enabled);
-
-  // Group commit: frames every record of `records`, then flushes (and
-  // at WalSync::kFsync, fsyncs) ONCE for the whole group — the
-  // amortization that makes N concurrent writers pay one platter round
-  // trip instead of N. The group never spans a rotation: the segment is
-  // rotated (if due) before the first record, then the whole group
-  // lands in one segment even if it overshoots segment_bytes (the next
-  // append rotates). Failure semantics match the single-record path:
-  // any write/flush/fsync failure poisons the log and the whole group
-  // must be treated as not durable — callers ack their writers only
-  // after AppendBatch returns OK. An empty group is a no-op.
-  //
-  // The single-record Append* methods above are AppendBatch of one.
+  // The one append: frames every record of `records` (EncodeWalRecord),
+  // then flushes (and at WalSync::kFsync, fsyncs) ONCE for the whole
+  // group — the amortization that makes N concurrent writers pay one
+  // platter round trip instead of N. One record is a group of one. The
+  // group never spans a rotation: the segment is rotated (if due) before
+  // the first record, then the whole group lands in one segment even if
+  // it overshoots segment_bytes (the next append rotates). Any
+  // write/flush/fsync failure (real or injected) poisons the log and the
+  // whole group must be treated as not durable — callers ack their
+  // writers only after AppendBatch returns OK. A poisoned log refuses
+  // further appends until it is reopened (and thereby salvaged): the
+  // active segment may hold a partial record, and interleaving good
+  // records after a torn one would turn a clean tail truncation into
+  // mid-file corruption. An empty group is a no-op.
   Status AppendBatch(const std::vector<WalRecord>& records);
 
   // Lifetime counters for the fsync-amortization story ("fsyncs issued
@@ -252,11 +253,13 @@ class Wal {
 
   // Replays every segment of `base` (generation >= min_generation; the
   // snapshot already contains older ones) over the store. Missing
-  // segments are an empty log. Replay stops at the first invalid record
-  // (torn tail or checksum mismatch), truncates the damage away, drops
-  // any later segments, and reports everything in `stats` (optional).
-  // Only environmental failures (unlinkable files, ...) return non-OK;
-  // data damage is salvaged, not fatal.
+  // segments are an empty log. Each segment streams through a
+  // WalRecordParser in fixed-size reads. Replay stops at the first
+  // invalid record (torn tail, checksum mismatch, malformed or
+  // unparsable fields), truncates the damage away, drops any later
+  // segments, and reports everything in `stats` (optional). Only
+  // environmental failures (unlinkable files, ...) return non-OK; data
+  // damage is salvaged, not fatal.
   static Status Replay(const std::string& base, FactStore* store,
                        std::vector<Rule>* rules,
                        RecoveryStats* stats = nullptr,
@@ -268,7 +271,6 @@ class Wal {
   // WaitAppend callers.
   void PublishPosition();
 
-  Status AppendRecord(uint8_t op, const std::vector<std::string>& fields);
   // Frames and fwrites one record (no flush/sync); evaluates the
   // wal.append.write failpoint and poisons the log on any failure.
   Status WriteRecord(const WalRecord& record, uint64_t* bytes_written);
@@ -332,10 +334,12 @@ class WalTailReader {
   uint64_t offset_ = 0;
 };
 
-// Incremental decoder for the WAL record framing
-// ([u32 len][u32 crc][payload]); the follower-side replay loop feeds it
-// shipped chunk bytes and pulls whole records out. CRC-validated: a
-// mismatch poisons the parser (the stream cannot be trusted past it).
+// The one decoder of the record framing (EncodeWalRecord): recovery
+// feeds it a segment's bytes, the replication follower shipped chunks,
+// and a kMutation frame its payload; each pulls whole records out.
+// CRC-validated, and every field length is bounded by the bytes its
+// record holds: a mismatch or a malformed field table poisons the parser
+// (the stream cannot be trusted past it).
 class WalRecordParser {
  public:
   enum class Result {

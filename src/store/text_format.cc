@@ -285,6 +285,15 @@ std::string SerializeRule(const Rule& rule, const EntityTable& entities) {
   return out;
 }
 
+StatusOr<Rule> ParseSerializedRule(std::string_view text,
+                                   EntityTable* entities) {
+  if (StartsWith(text, "integrity ")) {
+    return ParseRuleLine(text.substr(10), RuleKind::kIntegrity, entities);
+  }
+  if (StartsWith(text, "rule ")) text.remove_prefix(5);
+  return ParseRuleLine(text, RuleKind::kInference, entities);
+}
+
 Status SaveTextFile(const std::string& path, const FactStore& store,
                     const std::vector<Rule>& rules) {
   std::ofstream out(path, std::ios::trunc);

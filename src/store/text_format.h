@@ -53,6 +53,11 @@ std::string SerializeFacts(const FactStore& store);
 // leading "rule name:" / "integrity name:" keyword).
 std::string SerializeRule(const Rule& rule, const EntityTable& entities);
 
+// Parses what SerializeRule renders, as snapshots and WAL rule records
+// store it: the keyword picks the rule's kind.
+StatusOr<Rule> ParseSerializedRule(std::string_view text,
+                                   EntityTable* entities);
+
 // Writes facts + rules to a .lsd file.
 Status SaveTextFile(const std::string& path, const FactStore& store,
                     const std::vector<Rule>& rules);

@@ -446,18 +446,17 @@ TEST_F(GovernanceTest, DisconnectRaceNeverHalfAppliesBatch) {
     BinaryClient client(server_->port());
     ASSERT_TRUE(client.connected());
     ASSERT_TRUE(client.Greeting().ok());
-    std::vector<MutationOp> ops;
+    std::string records;
     for (int o = 0; o < kOpsPerBatch; ++o) {
-      MutationOp op;
-      op.source = "B" + std::to_string(b) + "-" + std::to_string(o);
-      op.relationship = "TOUCHES";
-      op.target = "HUB";
-      ops.push_back(op);
+      EncodeWalRecord(
+          WalRecord{static_cast<uint8_t>(WalOpCode::kAssert),
+                    {"B" + std::to_string(b) + "-" + std::to_string(o),
+                     "TOUCHES", "HUB"}},
+          &records);
     }
-    ASSERT_TRUE(WriteAll(client.fd(),
-                         EncodeFrame(FrameType::kMutation, 1,
-                                     EncodeMutationPayload(ops)))
-                    .ok());
+    ASSERT_TRUE(
+        WriteAll(client.fd(), EncodeFrame(FrameType::kMutation, 1, records))
+            .ok());
     // Vary the race window: sometimes the close lands before the worker
     // even dequeues the request, sometimes mid-WAL-append.
     if (b % 3 != 0) {

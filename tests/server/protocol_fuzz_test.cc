@@ -151,6 +151,7 @@ TEST(BinaryFramerTest, MalformedHeadersArePermanentErrors) {
   const Case cases[] = {
       {0, 'Z', "bad magic0"},    {1, 'z', "bad magic1"},
       {2, 'z', "bad magic2"},    {3, 9, "unknown version"},
+      {3, 1, "version 1 (the old kMutation layout)"},
       {4, kMaxFrameType + 1, "unknown type"},
       {5, 1, "reserved byte 5"},
       {6, 1, "reserved byte 6"}, {7, 1, "reserved byte 7"},
@@ -430,6 +431,98 @@ TEST_F(ProtocolTortureTest, OverlongTextLineClosesTheConnection) {
   (void)WriteAll(client.fd(), flood);  // may fail once the server closes
   auto reply = client.Read();
   EXPECT_FALSE(reply.ok());
+}
+
+// ---- kMutation frames over a live server ------------------------------
+
+std::string FactRecords(WalOpCode op,
+                        const std::vector<std::vector<std::string>>& facts) {
+  std::string out;
+  for (const auto& names : facts) {
+    EncodeWalRecord(WalRecord{static_cast<uint8_t>(op), names}, &out);
+  }
+  return out;
+}
+
+TEST_F(ProtocolTortureTest, MutationBatchLandsInOneEpochWithItsTally) {
+  StartServer();
+  ASSERT_TRUE(store_.Commit([](LooseDb& db) {
+                      db.Assert("OLD", "R", "X");
+                      return Status::OK();
+                    })
+                  .ok());
+  const uint64_t epoch = store_.snapshot()->sequence();
+  BinaryClient client(server_->port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.Greeting().ok());
+  const std::string payload =
+      FactRecords(WalOpCode::kAssert,
+                  {{"A", "R", "B"}, {"C", "R", "D"}, {"A", "R", "B"}}) +
+      FactRecords(WalOpCode::kRetract,
+                  {{"OLD", "R", "X"}, {"NOBODY", "R", "X"}});
+  ASSERT_TRUE(
+      WriteAll(client.fd(), EncodeFrame(FrameType::kMutation, 7, payload))
+          .ok());
+  auto reply = client.ReadReply();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->request_id, 7u);
+  ASSERT_EQ(static_cast<int>(reply->type), static_cast<int>(FrameType::kOk))
+      << reply->payload;
+  EXPECT_EQ(reply->payload, "added 2, present 1, removed 1, missing 1\n");
+  // One commit: the batch is one epoch past the seed.
+  EpochPtr tip = store_.snapshot();
+  EXPECT_EQ(tip->sequence(), epoch + 1);
+  const EntityTable& names = tip->db().entities();
+  EXPECT_TRUE(tip->db().store().Contains(*names.LookupFact("A", "R", "B")));
+  EXPECT_TRUE(tip->db().store().Contains(*names.LookupFact("C", "R", "D")));
+  EXPECT_FALSE(tip->db().store().Contains(*names.LookupFact("OLD", "R", "X")));
+  EXPECT_FALSE(names.Lookup("NOBODY").has_value());
+}
+
+TEST_F(ProtocolTortureTest, MalformedMutationBatchIsRejectedWhole) {
+  StartServer();
+  const std::string good =
+      FactRecords(WalOpCode::kAssert, {{"GOOD", "R", "ONE"}});
+  std::string bad_crc = good + FactRecords(WalOpCode::kAssert,
+                                           {{"GOOD", "R", "TWO"}});
+  bad_crc[good.size() + 4] ^= 0x01;
+  std::string rule;
+  EncodeWalRecord(WalRecord{static_cast<uint8_t>(WalOpCode::kRule),
+                            {"rule r: (?X, R, ONE) => (?X, R, TWO)"}},
+                  &rule);
+  struct Case {
+    const char* name;
+    std::string payload;
+  };
+  const Case cases[] = {
+      {"truncated", good + good.substr(0, good.size() - 3)},
+      {"bad crc", bad_crc},
+      {"rule record", good + rule},
+      {"two fields", good + FactRecords(WalOpCode::kAssert, {{"A", "B"}})},
+  };
+  BinaryClient client(server_->port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.Greeting().ok());
+  const EpochPtr before = store_.snapshot();
+  const size_t names = before->db().entities().size();
+  uint64_t id = 1;
+  for (const Case& c : cases) {
+    ASSERT_TRUE(WriteAll(client.fd(),
+                         EncodeFrame(FrameType::kMutation, id, c.payload))
+                    .ok());
+    auto reply = client.ReadReply();
+    ASSERT_TRUE(reply.ok()) << c.name << ": " << reply.status().ToString();
+    EXPECT_EQ(reply->request_id, id++);
+    EXPECT_EQ(static_cast<int>(reply->type),
+              static_cast<int>(FrameType::kErr))
+        << c.name << ": " << reply->payload;
+    EXPECT_EQ(store_.snapshot(), before) << c.name;
+    EXPECT_EQ(store_.snapshot()->db().entities().size(), names) << c.name;
+  }
+  // The connection keeps serving.
+  auto pong = client.Call(id, "ping");
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_EQ(pong->payload, "pong\n");
 }
 
 TEST_F(ProtocolTortureTest, RandomGarbageNeverCrashesTheServer) {

@@ -189,8 +189,56 @@ class EpochUniverseTest : public ::testing::Test {
     return result.ok() ? *result : std::string();
   }
 
+  // Runs `line`, a mutation verb naming `unknown`, an entity the store
+  // does not hold; then an unrelated assert commits a new epoch, whose
+  // universe is fixed at publication. Returns what `line` answered.
+  StatusOr<std::string> RunThenCommit(std::string_view line,
+                                      std::string_view unknown) {
+    ServerSession session(1, &store_);
+    EXPECT_EQ(Run(session, kForall), "true\n");
+    auto result = session.Execute(line);
+    EXPECT_FALSE(store_.snapshot()->db().entities().Lookup(unknown))
+        << line << " interned " << unknown;
+    EXPECT_EQ(Run(session, "assert (A, HAS, HAS)"), "added\n");
+    return result;
+  }
+
   SharedStore store_;
 };
+
+// A mutation verb interns only the names of an assert it applies. A
+// retract, a what-if retract or a rejected batch that names an unknown
+// entity leaves the shared table alone, so the next commit's universe
+// does not take the name in and the universal stays true.
+TEST_F(EpochUniverseTest, RetractBatchOfAnUnknownNameLeavesForallTrue) {
+  auto result = RunThenCommit("retract* (QQTYPO, HAS, P)", "QQTYPO");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(*result, "added 0, present 0, removed 0, missing 1\n");
+  ServerSession later(2, &store_);
+  EXPECT_EQ(Run(later, kForall), "true\n");
+}
+
+TEST_F(EpochUniverseTest, RetractOfAnUnknownNameLeavesForallTrue) {
+  auto result = RunThenCommit("retract (QQTYPO, HAS, P)", "QQTYPO");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(*result, "not asserted\n");
+  ServerSession later(2, &store_);
+  EXPECT_EQ(Run(later, kForall), "true\n");
+}
+
+TEST_F(EpochUniverseTest, WhatIfRetractOfAnUnknownNameLeavesForallTrue) {
+  auto result = RunThenCommit("hypo retract (QQTYPO, HAS, P)", "QQTYPO");
+  EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+  ServerSession later(2, &store_);
+  EXPECT_EQ(Run(later, kForall), "true\n");
+}
+
+TEST_F(EpochUniverseTest, RejectedBatchLeavesForallTrue) {
+  auto result = RunThenCommit("assert* (NEWX, HAS, P) (BAD", "NEWX");
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  ServerSession later(2, &store_);
+  EXPECT_EQ(Run(later, kForall), "true\n");
+}
 
 TEST_F(EpochUniverseTest, AnotherSessionsUnknownNameLeavesForallTrue) {
   ServerSession first(1, &store_);

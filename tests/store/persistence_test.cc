@@ -20,6 +20,16 @@ namespace {
 // 24-byte header (magic, generation, sequence).
 constexpr long kSegmentHeaderBytes = 24;
 
+// Log one fact record, as a group of one.
+Status LogAssert(Wal* wal, const FactStore& store, const Fact& f) {
+  return wal->AppendBatch({WalFactRecord(WalOpCode::kAssert,
+                                         store.entities(), f)});
+}
+Status LogRetract(Wal* wal, const FactStore& store, const Fact& f) {
+  return wal->AppendBatch({WalFactRecord(WalOpCode::kRetract,
+                                         store.entities(), f)});
+}
+
 class PersistenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -208,9 +218,9 @@ TEST_F(PersistenceTest, WalReplayAppliesMutations) {
     Fact f2 = store.Assert("C", "R", "D");
     Wal wal;
     ASSERT_TRUE(wal.Open(Path("db.wal")).ok());
-    ASSERT_TRUE(wal.AppendAssert(store, f1).ok());
-    ASSERT_TRUE(wal.AppendAssert(store, f2).ok());
-    ASSERT_TRUE(wal.AppendRetract(store, f1).ok());
+    ASSERT_TRUE(LogAssert(&wal, store, f1).ok());
+    ASSERT_TRUE(LogAssert(&wal, store, f2).ok());
+    ASSERT_TRUE(LogRetract(&wal, store, f1).ok());
   }
   FactStore replayed;
   std::vector<Rule> rules;
@@ -258,10 +268,10 @@ TEST_F(PersistenceTest, WalReplayMatchesOneByOneApplication) {
       for (int op = 0; op < 600; ++op) {
         const Fact f = pool[rng.Uniform(pool.size())];
         if (rng.Uniform(2) == 0) {
-          ASSERT_TRUE(wal.AppendAssert(writer, f).ok());
+          ASSERT_TRUE(LogAssert(&wal, writer, f).ok());
           expect.insert(f);
         } else {
-          ASSERT_TRUE(wal.AppendRetract(writer, f).ok());
+          ASSERT_TRUE(LogRetract(&wal, writer, f).ok());
           expect.erase(f);
         }
       }
@@ -283,8 +293,9 @@ TEST_F(PersistenceTest, WalReplayHandlesRulesAndToggles) {
   {
     Wal wal;
     ASSERT_TRUE(wal.Open(Path("rules.wal")).ok());
-    ASSERT_TRUE(wal.AppendRule(rules[0], store.entities()).ok());
-    ASSERT_TRUE(wal.AppendSetRuleEnabled("pay", false).ok());
+    ASSERT_TRUE(wal.AppendBatch({WalRuleRecord(rules[0], store.entities()),
+                                 WalRuleEnabledRecord("pay", false)})
+                    .ok());
   }
   FactStore replayed;
   std::vector<Rule> replayed_rules;
@@ -311,12 +322,12 @@ TEST_F(PersistenceTest, WalSurvivesReopen) {
   {
     Wal wal;
     ASSERT_TRUE(wal.Open(Path("re.wal")).ok());
-    ASSERT_TRUE(wal.AppendAssert(store, f1).ok());
+    ASSERT_TRUE(LogAssert(&wal, store, f1).ok());
   }
   {
     Wal wal;
     ASSERT_TRUE(wal.Open(Path("re.wal")).ok());  // append mode
-    ASSERT_TRUE(wal.AppendAssert(store, f2).ok());
+    ASSERT_TRUE(LogAssert(&wal, store, f2).ok());
   }
   FactStore replayed;
   ASSERT_TRUE(Wal::Replay(Path("re.wal"), &replayed, nullptr).ok());
@@ -335,7 +346,7 @@ TEST_F(PersistenceTest, WalRotatesSegmentsAndReplaysAll) {
     Wal wal;
     ASSERT_TRUE(wal.Open(Path("rot.wal"), options).ok());
     for (const Fact& f : facts) {
-      ASSERT_TRUE(wal.AppendAssert(store, f).ok());
+      ASSERT_TRUE(LogAssert(&wal, store, f).ok());
     }
   }
   EXPECT_GE(CountSegments(Path("rot.wal")), 5u);
@@ -353,11 +364,11 @@ TEST_F(PersistenceTest, BeginGenerationDropsOldSegments) {
   Fact new_fact = store.Assert("NEW", "R", "T");
   Wal wal;
   ASSERT_TRUE(wal.Open(Path("gen.wal")).ok());
-  ASSERT_TRUE(wal.AppendAssert(store, old_fact).ok());
+  ASSERT_TRUE(LogAssert(&wal, store, old_fact).ok());
   ASSERT_TRUE(wal.BeginGeneration(1).ok());
   EXPECT_EQ(wal.generation(), 1u);
   EXPECT_EQ(wal.generation_bytes(), 0u);
-  ASSERT_TRUE(wal.AppendAssert(store, new_fact).ok());
+  ASSERT_TRUE(LogAssert(&wal, store, new_fact).ok());
   wal.Close();
 
   // Only the post-checkpoint segment survives.
@@ -381,10 +392,10 @@ TEST_F(PersistenceTest, ReplaySkipsStaleGenerationSegments) {
   Fact new_fact = store.Assert("NEW", "R", "T");
   Wal wal;
   ASSERT_TRUE(wal.Open(Path("stale.wal")).ok());
-  ASSERT_TRUE(wal.AppendAssert(store, old_fact).ok());
+  ASSERT_TRUE(LogAssert(&wal, store, old_fact).ok());
   const std::string stale_bytes = ReadAll(Segment(Path("stale.wal"), 1));
   ASSERT_TRUE(wal.BeginGeneration(1).ok());
-  ASSERT_TRUE(wal.AppendAssert(store, new_fact).ok());
+  ASSERT_TRUE(LogAssert(&wal, store, new_fact).ok());
   wal.Close();
   WriteAll(Segment(Path("stale.wal"), 1), stale_bytes);  // resurrect
 
@@ -412,13 +423,13 @@ TEST_F(PersistenceTest, WalToleratesTornFinalRecord) {
   {
     Wal wal;
     ASSERT_TRUE(wal.Open(Path("full.wal")).ok());
-    ASSERT_TRUE(wal.AppendAssert(store, f1).ok());
+    ASSERT_TRUE(LogAssert(&wal, store, f1).ok());
   }
   long first_record_end = std::filesystem::file_size(segment);
   {
     Wal wal;
     ASSERT_TRUE(wal.Open(Path("full.wal")).ok());
-    ASSERT_TRUE(wal.AppendAssert(store, f2).ok());
+    ASSERT_TRUE(LogAssert(&wal, store, f2).ok());
   }
   const std::string bytes = ReadAll(segment);
   ASSERT_GT(static_cast<long>(bytes.size()), first_record_end);
@@ -446,7 +457,7 @@ TEST_F(PersistenceTest, WalToleratesTornFinalRecord) {
 
     Wal wal;
     ASSERT_TRUE(wal.Open(torn_base).ok());
-    ASSERT_TRUE(wal.AppendAssert(store, f2).ok());
+    ASSERT_TRUE(LogAssert(&wal, store, f2).ok());
     wal.Close();
     FactStore recovered;
     ASSERT_TRUE(Wal::Replay(torn_base, &recovered, nullptr).ok());
@@ -471,7 +482,7 @@ TEST_F(PersistenceTest, WalSalvagesValidPrefixOnMidFileCorruption) {
       facts.push_back(store.Assert("ENTITY-" + std::to_string(i),
                                    "RELATES-TO", "TARGET-" +
                                    std::to_string(i)));
-      ASSERT_TRUE(wal.AppendAssert(store, facts.back()).ok());
+      ASSERT_TRUE(LogAssert(&wal, store, facts.back()).ok());
       wal.Close();
       boundaries.push_back(std::filesystem::file_size(segment));
       ASSERT_TRUE(wal.Open(base).ok());
@@ -511,6 +522,50 @@ TEST_F(PersistenceTest, WalSalvagesValidPrefixOnMidFileCorruption) {
   }
 }
 
+// Damage past the checksum: a record whose length and CRC are correct
+// but whose field table stops short is caught by the field decoder.
+// Replay keeps the records before it and truncates the log at it.
+TEST_F(PersistenceTest, ValidChecksumTruncatedFieldTableIsSalvaged) {
+  FactStore store;
+  Fact f1 = store.Assert("A", "R", "B");
+  Fact f2 = store.Assert("C", "R", "D");
+  const std::string base = Path("fields.wal");
+  {
+    Wal wal;
+    ASSERT_TRUE(wal.Open(base).ok());
+    ASSERT_TRUE(LogAssert(&wal, store, f1).ok());
+    ASSERT_TRUE(LogAssert(&wal, store, f2).ok());
+  }
+  const std::string intact = ReadAll(Segment(base));
+  // An assert payload that promises three fields and holds two.
+  std::string payload = {static_cast<char>(WalOpCode::kAssert), 3};
+  for (const char* field : {"E", "R"}) {
+    const uint32_t n = 1;
+    payload.append(reinterpret_cast<const char*>(&n), sizeof(n));
+    payload += field;
+  }
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  uint32_t crc = Crc32cExtend(0, &len, sizeof(len));
+  crc = Crc32cExtend(crc, payload.data(), payload.size());
+  std::string record(reinterpret_cast<const char*>(&len), sizeof(len));
+  record.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  record += payload;
+  WriteAll(Segment(base), intact + record);
+
+  FactStore replayed;
+  RecoveryStats stats;
+  ASSERT_TRUE(Wal::Replay(base, &replayed, nullptr, &stats).ok());
+  EXPECT_EQ(stats.records_replayed, 2u);
+  EXPECT_EQ(replayed.size(), 2u);
+  EXPECT_TRUE(stats.tail_truncated);
+  EXPECT_EQ(stats.bytes_dropped, record.size());
+  EXPECT_EQ(std::filesystem::file_size(Segment(base)), intact.size());
+  EXPECT_NE(stats.detail.find("field table truncated at offset " +
+                              std::to_string(intact.size())),
+            std::string::npos)
+      << stats.detail;
+}
+
 TEST_F(PersistenceTest, CorruptionInEarlySegmentDropsLaterSegments) {
   // Records after mid-log damage may depend on lost state; replay must
   // not leap over the gap into later segments.
@@ -526,7 +581,7 @@ TEST_F(PersistenceTest, CorruptionInEarlySegmentDropsLaterSegments) {
     Wal wal;
     ASSERT_TRUE(wal.Open(base, options).ok());
     for (const Fact& f : facts) {
-      ASSERT_TRUE(wal.AppendAssert(store, f).ok());
+      ASSERT_TRUE(LogAssert(&wal, store, f).ok());
     }
   }
   const size_t segments = CountSegments(base);
@@ -560,7 +615,7 @@ TEST_F(PersistenceTest, WalFsyncModeRoundTrips) {
     options.sync = WalSync::kFsync;
     ASSERT_TRUE(wal.Open(Path("sync.wal"), options).ok());
     EXPECT_EQ(wal.sync_mode(), WalSync::kFsync);
-    ASSERT_TRUE(wal.AppendAssert(store, f1).ok());
+    ASSERT_TRUE(LogAssert(&wal, store, f1).ok());
   }
   FactStore replayed;
   ASSERT_TRUE(Wal::Replay(Path("sync.wal"), &replayed, nullptr).ok());
@@ -575,17 +630,17 @@ TEST_F(PersistenceTest, InjectedShortWritePoisonsThenSalvages) {
   Fact f2 = store.Assert("C", "R", "D");
   Wal wal;
   ASSERT_TRUE(wal.Open(Path("short.wal")).ok());
-  ASSERT_TRUE(wal.AppendAssert(store, f1).ok());
+  ASSERT_TRUE(LogAssert(&wal, store, f1).ok());
   {
     failpoint::Policy policy;
     policy.action = failpoint::Action::kShortWrite;
     policy.arg = 5;  // tear the record 5 bytes in
     failpoint::Scoped fp("wal.append.write", policy);
-    Status s = wal.AppendAssert(store, f2);
+    Status s = LogAssert(&wal, store, f2);
     EXPECT_EQ(s.code(), StatusCode::kIoError);
   }
   // The log refuses to interleave good records after the torn one.
-  Status refused = wal.AppendAssert(store, f2);
+  Status refused = LogAssert(&wal, store, f2);
   EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
   wal.Close();
 
@@ -598,7 +653,7 @@ TEST_F(PersistenceTest, InjectedShortWritePoisonsThenSalvages) {
   EXPECT_TRUE(stats.tail_truncated);
   EXPECT_EQ(stats.bytes_dropped, 5u);
   ASSERT_TRUE(wal.Open(Path("short.wal")).ok());
-  EXPECT_TRUE(wal.AppendAssert(store, f2).ok());
+  EXPECT_TRUE(LogAssert(&wal, store, f2).ok());
 }
 
 TEST_F(PersistenceTest, InjectedAppendErrorPoisonsWal) {
@@ -610,9 +665,9 @@ TEST_F(PersistenceTest, InjectedAppendErrorPoisonsWal) {
     failpoint::Policy policy;
     policy.action = failpoint::Action::kError;
     failpoint::Scoped fp("wal.append.write", policy);
-    EXPECT_EQ(wal.AppendAssert(store, f1).code(), StatusCode::kIoError);
+    EXPECT_EQ(LogAssert(&wal, store, f1).code(), StatusCode::kIoError);
   }
-  EXPECT_EQ(wal.AppendAssert(store, f1).code(),
+  EXPECT_EQ(LogAssert(&wal, store, f1).code(),
             StatusCode::kFailedPrecondition);
 }
 
