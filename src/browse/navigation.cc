@@ -112,16 +112,15 @@ StatusOr<std::vector<Association>> Navigator::Associations(
       budget_status = ticker.trip();
       return false;
     }
-    out.push_back(Association{f.relationship, {f}});
+    out.push_back(Association{{f}});
     return true;
   });
   LSD_RETURN_IF_ERROR(budget_status);
   LSD_ASSIGN_OR_RETURN(
-      std::vector<ComposedFact> composed,
+      std::vector<FactChain> composed,
       composer_.PathsBetween(*view_, source, target, options));
-  for (ComposedFact& cf : composed) {
-    out.push_back(
-        Association{cf.fact.relationship, std::move(cf.chain)});
+  for (FactChain& chain : composed) {
+    out.push_back(Association{std::move(chain)});
   }
   return out;
 }
@@ -134,7 +133,7 @@ std::string Navigator::RenderAssociations(
   std::vector<std::string> names;
   names.reserve(assocs.size());
   for (const Association& a : assocs) {
-    names.push_back(entities_->Name(a.relationship));
+    names.push_back(ComposedName(*entities_, a.chain));
   }
   formatter.AddRow({Join(names, "\n")});
   return formatter.Render();

@@ -43,17 +43,18 @@ struct NeighborhoodView {
 };
 
 // One association between a source and a target entity: either a direct
-// fact or a composed path.
+// fact or a composed path. Its relationship is spelled by
+// ComposedName(entities, chain): the fact's own relationship for a
+// direct fact, "R1.X.R2..." for a composition.
 struct Association {
-  EntityId relationship;    // direct or minted composed relationship
-  std::vector<Fact> chain;  // size 1 for direct facts
+  FactChain chain;  // size 1 for direct facts
 };
 
 class Navigator {
  public:
-  // `view` is the closure to browse; `entities` is mutated only to mint
-  // composed relationship names.
-  Navigator(const ClosureView* view, EntityTable* entities)
+  // `view` is the closure to browse; `entities` names what it shows and
+  // is only read.
+  Navigator(const ClosureView* view, const EntityTable* entities)
       : view_(view), entities_(entities), composer_(entities) {}
 
   // `budget` (optional) is ticked per scanned fact; a tripped budget
@@ -67,13 +68,14 @@ class Navigator {
       EntityId source, EntityId target,
       const CompositionOptions& options) const;
 
-  // Paper-style one-row table "SOURCE * TARGET" listing associations.
+  // Paper-style one-row table "SOURCE * TARGET" listing associations,
+  // each composed relationship spelled from its chain.
   std::string RenderAssociations(EntityId source, EntityId target,
                                  const std::vector<Association>& assocs) const;
 
  private:
   const ClosureView* view_;
-  EntityTable* entities_;
+  const EntityTable* entities_;
   CompositionEngine composer_;
 };
 

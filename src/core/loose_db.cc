@@ -515,13 +515,13 @@ StatusOr<NeighborhoodView> LooseDb::Navigate(std::string_view entity,
     return Status::NotFound("unknown entity: " + std::string(entity));
   }
   LSD_ASSIGN_OR_RETURN(const ClosureView* view, View());
-  Navigator navigator(view, const_cast<EntityTable*>(&store_.entities()));
+  Navigator navigator(view, &store_.entities());
   return navigator.Neighborhood(*id, budget);
 }
 
 StatusOr<std::vector<Association>> LooseDb::Associations(
     std::string_view source, std::string_view target,
-    const QueryBudget* budget) {
+    const QueryBudget* budget) const {
   Status status;
   EntityId s = MustLookup(source, &status);
   EntityId t = MustLookup(target, &status);
@@ -534,9 +534,9 @@ StatusOr<std::vector<Association>> LooseDb::Associations(
   return navigator.Associations(s, t, options);
 }
 
-StatusOr<std::string> LooseDb::RenderAssociations(std::string_view source,
-                                                  std::string_view target,
-                                                  const QueryBudget* budget) {
+StatusOr<std::string> LooseDb::RenderAssociations(
+    std::string_view source, std::string_view target,
+    const QueryBudget* budget) const {
   Status status;
   EntityId s = MustLookup(source, &status);
   EntityId t = MustLookup(target, &status);

@@ -275,13 +275,14 @@ class LooseDb {
   // Navigation (Sec 4.1).
   StatusOr<NeighborhoodView> Navigate(
       std::string_view entity, const QueryBudget* budget = nullptr) const;
-  // Non-const: composed relationship entities are interned on demand.
+  // Direct facts and compositions (Sec 3.7) between two entities; a
+  // composed relationship is spelled from its chain, never interned.
   StatusOr<std::vector<Association>> Associations(
       std::string_view source, std::string_view target,
-      const QueryBudget* budget = nullptr);
+      const QueryBudget* budget = nullptr) const;
   StatusOr<std::string> RenderAssociations(
       std::string_view source, std::string_view target,
-      const QueryBudget* budget = nullptr);
+      const QueryBudget* budget = nullptr) const;
 
   // Probing (Sec 5).
   StatusOr<ProbeResult> Probe(std::string_view query_text,

@@ -1,5 +1,6 @@
 #include "rules/composition.h"
 
+#include <functional>
 #include <unordered_set>
 
 #include "rules/math_provider.h"
@@ -28,56 +29,62 @@ bool CompositionEngine::LinkAllowed(const Fact& f,
   return f.source != f.target;  // self-loops never extend a simple path
 }
 
-std::string CompositionEngine::ComposedName(
-    const std::vector<Fact>& chain) const {
+std::string ComposedName(const EntityTable& entities, const FactChain& chain) {
   std::string name;
   for (size_t i = 0; i < chain.size(); ++i) {
     if (i > 0) {
       name += ".";
-      name += entities_->Name(chain[i].source);
+      name += entities.Name(chain[i].source);
       name += ".";
     }
-    name += entities_->Name(chain[i].relationship);
+    name += entities.Name(chain[i].relationship);
   }
   return name;
 }
 
-StatusOr<std::vector<ComposedFact>> CompositionEngine::PathsBetween(
+StatusOr<std::vector<FactChain>> CompositionEngine::PathsBetween(
     const FactSource& view, EntityId source, EntityId target,
     const CompositionOptions& options) const {
-  std::vector<ComposedFact> out;
+  std::vector<FactChain> out;
   if (options.limit < 2 || source == target) return out;
 
-  std::vector<Fact> chain;
+  FactChain chain;
   std::unordered_set<EntityId> visited{source};
   BudgetTicker ticker(options.budget);
-  Status budget_status = Status::OK();
+  Status status = Status::OK();
+  const size_t limit = static_cast<size_t>(options.limit);
 
   // Depth-first enumeration of simple paths source -> target. The dfs
-  // returns false (and unwinds) once the budget trips.
+  // returns false (and unwinds) once the budget trips or the cap is
+  // reached. On the last hop only links into the target can complete a
+  // path, so it asks the view for (at, ?, target) alone: every tier
+  // streams that range in the order its (at, ?, ?) scan lists those
+  // facts. A bound ANY target or NONE source would make the closure view
+  // rewrite the pattern into a wildcard scan (ClosureView, layer 5), so
+  // there the full scan stays and the answer stays the stored links.
   std::function<bool(EntityId)> dfs = [&](EntityId at) -> bool {
-    if (static_cast<int>(chain.size()) >= options.limit) return true;
-    return view.ForEach(Pattern(at, kAnyEntity, kAnyEntity),
-                        [&](const Fact& f) {
+    const bool last_hop = chain.size() + 1 == limit && at != kEntBottom &&
+                          target != kEntTop;
+    const Pattern hop(at, kAnyEntity, last_hop ? target : kAnyEntity);
+    return view.ForEach(hop, [&](const Fact& f) {
       if (!ticker.TickOk()) {
-        budget_status = ticker.trip();
+        status = ticker.trip();
         return false;
       }
       if (!LinkAllowed(f, options)) return true;
       if (f.target == target) {
-        if (chain.size() + 1 >= 2) {
-          chain.push_back(f);
-          ComposedFact cf;
-          cf.chain = chain;
-          cf.fact = Fact(source, entities_->InternComposed(
-                                     ComposedName(chain)),
-                         target);
-          out.push_back(std::move(cf));
-          chain.pop_back();
+        if (chain.empty()) return true;  // a direct fact, not a composition
+        if (out.size() >= options.max_results) {
+          status = Status::OutOfRange("composition exceeded max_results (" +
+                                      std::to_string(options.max_results) +
+                                      ")");
+          return false;
         }
+        out.push_back(chain);
+        out.back().push_back(f);
         return true;
       }
-      if (visited.count(f.target)) return true;
+      if (chain.size() + 1 >= limit || visited.count(f.target)) return true;
       chain.push_back(f);
       visited.insert(f.target);
       const bool keep_going = dfs(f.target);
@@ -87,13 +94,13 @@ StatusOr<std::vector<ComposedFact>> CompositionEngine::PathsBetween(
     });
   };
   dfs(source);
-  LSD_RETURN_IF_ERROR(budget_status);
+  LSD_RETURN_IF_ERROR(status);
   return out;
 }
 
-StatusOr<std::vector<ComposedFact>> CompositionEngine::MaterializeAll(
+StatusOr<std::vector<FactChain>> CompositionEngine::MaterializeAll(
     const FactSource& view, const CompositionOptions& options) const {
-  std::vector<ComposedFact> out;
+  std::vector<FactChain> out;
   if (options.limit < 2) return out;
 
   // Collect the distinct sources present in the view, then run a simple-
@@ -107,7 +114,7 @@ StatusOr<std::vector<ComposedFact>> CompositionEngine::MaterializeAll(
   Status overflow = Status::OK();
   BudgetTicker ticker(options.budget);
   for (EntityId start : sources) {
-    std::vector<Fact> chain;
+    FactChain chain;
     std::unordered_set<EntityId> visited{start};
     std::function<bool(EntityId)> dfs = [&](EntityId at) -> bool {
       if (static_cast<int>(chain.size()) >= options.limit) return true;
@@ -129,13 +136,7 @@ StatusOr<std::vector<ComposedFact>> CompositionEngine::MaterializeAll(
                     std::to_string(options.max_results) + ")");
                 keep_going = false;
               } else {
-                ComposedFact cf;
-                cf.chain = chain;
-                cf.fact =
-                    Fact(start,
-                         entities_->InternComposed(ComposedName(chain)),
-                         f.target);
-                out.push_back(std::move(cf));
+                out.push_back(chain);
               }
             }
             if (keep_going) keep_going = dfs(f.target);

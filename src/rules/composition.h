@@ -1,9 +1,14 @@
 // Inference by composition (Sec 3.7): when the target of one fact is the
 // source of another, their composition is a fact relating the two ends
-// via a minted relationship entity that spells out the path, e.g.
+// via a composed relationship that spells out the path, e.g.
 //
 //   (TOM, ENROLLED-IN, CS100) ∘ (CS100, TAUGHT-BY, HARRY)
 //     = (TOM, ENROLLED-IN.CS100.TAUGHT-BY, HARRY)
+//
+// The engine returns the chains of facts themselves. A composed
+// relationship is never interned: ComposedName spells it from its chain
+// when an answer is rendered, so browsing compositions writes nothing
+// into the entity table an epoch shares with its readers.
 //
 // The paper avoids cyclic compositions by requiring the chain's two ends
 // to differ. That alone does not bound chains on graphs with cycles of
@@ -29,10 +34,14 @@
 
 namespace lsd {
 
-struct ComposedFact {
-  Fact fact;                // (chain start, minted relationship, chain end)
-  std::vector<Fact> chain;  // the participating facts, in order (>= 2)
-};
+// The facts of one composition, in order: each fact's target is the
+// next one's source. It composes (chain.front().source, its
+// ComposedName, chain.back().target).
+using FactChain = std::vector<Fact>;
+
+// "ENROLLED-IN.CS100.TAUGHT-BY" for a chain of facts; a one-fact chain
+// spells its own relationship.
+std::string ComposedName(const EntityTable& entities, const FactChain& chain);
 
 struct CompositionOptions {
   // Maximum number of facts per chain (the limit(n) operator). Chains of
@@ -44,7 +53,8 @@ struct CompositionOptions {
   // X.ISA.Y.ISA — excluded by default.
   bool include_meta_relationships = false;
 
-  // Safety valve for MaterializeAll.
+  // Safety valve: PathsBetween and MaterializeAll stop with OutOfRange
+  // once they would return more chains than this.
   size_t max_results = 1'000'000;
 
   // Optional cooperative cancellation / deadline token. Borrowed; ticked
@@ -55,28 +65,28 @@ struct CompositionOptions {
 
 class CompositionEngine {
  public:
-  // `entities` is mutated: composed relationship entities are interned.
-  explicit CompositionEngine(EntityTable* entities) : entities_(entities) {}
+  // `entities` is only read, to tell stored composed relationships
+  // (kComposed, e.g. from an older snapshot) from elementary ones.
+  explicit CompositionEngine(const EntityTable* entities)
+      : entities_(entities) {}
 
   // All simple-path compositions from `source` to `target` over the
-  // facts of `view`, with 2..limit links. The view should be the closure
-  // so compositions see inferred facts too.
-  StatusOr<std::vector<ComposedFact>> PathsBetween(
+  // facts of `view`, with 2..limit links, in depth-first order. The view
+  // should be the closure so compositions see inferred facts too. Errors
+  // with OutOfRange if max_results is exceeded.
+  StatusOr<std::vector<FactChain>> PathsBetween(
       const FactSource& view, EntityId source, EntityId target,
       const CompositionOptions& options) const;
 
-  // Every composition fact derivable within the options' bounds. Errors
-  // with OutOfRange if max_results is exceeded.
-  StatusOr<std::vector<ComposedFact>> MaterializeAll(
+  // Every composition derivable within the options' bounds. Errors with
+  // OutOfRange if max_results is exceeded.
+  StatusOr<std::vector<FactChain>> MaterializeAll(
       const FactSource& view, const CompositionOptions& options) const;
-
-  // "ENROLLED-IN.CS100.TAUGHT-BY" for a chain of facts.
-  std::string ComposedName(const std::vector<Fact>& chain) const;
 
  private:
   bool LinkAllowed(const Fact& f, const CompositionOptions& options) const;
 
-  EntityTable* entities_;
+  const EntityTable* entities_;
 };
 
 }  // namespace lsd

@@ -56,6 +56,21 @@ std::string RenderFact(const WalRecord& record) {
          record.fields[2] + ")";
 }
 
+// Whether a fact record names only what the text verbs can spell: its
+// "(S, R, T)" rendering parses back to the same normalized names. An
+// empty name, a keyword or a name holding a delimiter does not.
+bool SpelledByTextVerbs(const WalRecord& record) {
+  auto parsed = ParseFactRecord(static_cast<WalOpCode>(record.op),
+                                RenderFact(record));
+  if (!parsed.ok()) return false;
+  for (size_t i = 0; i < record.fields.size(); ++i) {
+    if (parsed->fields[i] != EntityTable::Normalize(record.fields[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::string RenderTally(const LooseDb::Tally& tally) {
   return "added " + std::to_string(tally.added) + ", present " +
          std::to_string(tally.present) + ", removed " +
@@ -255,6 +270,11 @@ StatusOr<std::string> ServerSession::ExecuteBatchMutation(
       return Status::InvalidArgument(
           "mutation record " + std::to_string(records.size()) +
           " is not an assert or retract of three names");
+    }
+    if (!SpelledByTextVerbs(record)) {
+      return Status::InvalidArgument(
+          "mutation record " + std::to_string(records.size()) +
+          " names an entity the text verbs cannot spell");
     }
     records.push_back(std::move(record));
   }

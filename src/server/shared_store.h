@@ -17,9 +17,9 @@
 // An epoch is a fully warmed LooseDb that is never mutated again:
 // closure, generalization lattice, planner keying and entity universe
 // are fixed before publication (LooseDb::Warm), the entity table is
-// internally synchronized (parsing and composed-relationship minting
-// intern on the fly), and the plan cache is mutex-guarded — so the
-// epoch is safe for any number of reader threads. Epochs share their
+// internally synchronized (query parsing interns on the fly), and the
+// plan cache is mutex-guarded — so the epoch is safe for any number of
+// reader threads. Epochs share their
 // storage structurally: the asserted facts (one generational index,
 // which is also the closure's base tier), the derived tier and the
 // entity table travel from epoch to epoch by shared_ptr, and a commit

@@ -53,9 +53,10 @@ enum BuiltinEntity : EntityId {
   kNumBuiltinEntities,
 };
 
-// How an entity came to exist. Composed entities are minted by the
-// composition engine (Sec 3.7) and are excluded from e.g. the probing
-// generalization lattice.
+// How an entity came to exist. A composed entity names a composition
+// (Sec 3.7) stored as an entity: the composition engine interns none,
+// but a snapshot may hold them. They never act as composition links and
+// are left out of e.g. semantic distance.
 enum class EntityKind : uint8_t {
   kRegular = 0,
   kBuiltin = 1,

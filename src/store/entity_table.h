@@ -8,10 +8,10 @@
 // Thread safety: the table is append-only and internally synchronized —
 // concurrent Intern and read calls are safe. This is what lets one table
 // be shared by every epoch of a server (src/server) and by its many
-// reader threads even though the commit leader interns new names, and
-// parsing a query and minting composed relationships both intern on the
-// fly. Rows are stored in a deque, so the reference returned by Name()
-// stays valid for the table's lifetime regardless of later interning.
+// reader threads even though the commit leader interns new names and
+// parsing a query interns on the fly. Rows are stored in a deque, so
+// the reference returned by Name() stays valid for the table's lifetime
+// regardless of later interning.
 #ifndef LSD_STORE_ENTITY_TABLE_H_
 #define LSD_STORE_ENTITY_TABLE_H_
 
@@ -52,8 +52,10 @@ class EntityTable {
     return Fact(Intern(source), Intern(relationship), Intern(target));
   }
 
-  // Interns a composition-minted entity (Sec 3.7), e.g.
-  // "ENROLLED-IN.CS100.TAUGHT-BY". Kind is kComposed.
+  // Interns a composed entity (Sec 3.7), e.g.
+  // "ENROLLED-IN.CS100.TAUGHT-BY". Kind is kComposed. The composition
+  // engine interns none; the snapshot loader restores those a snapshot
+  // holds.
   EntityId InternComposed(std::string_view name);
 
   // Returns the id for `name` without interning, or nullopt if unknown.

@@ -112,7 +112,7 @@ TEST_F(NavigationTest, LeopoldMozartAssociations) {
   ASSERT_TRUE(assocs.ok()) << assocs.status().ToString();
   std::set<std::string> names;
   for (const Association& a : *assocs) {
-    names.insert(db_.entities().Name(a.relationship));
+    names.insert(ComposedName(db_.entities(), a.chain));
   }
   EXPECT_TRUE(names.count("FATHER-OF"));
   EXPECT_TRUE(names.count("TAUGHT"));
@@ -125,7 +125,7 @@ TEST_F(NavigationTest, JohnMozartComposedPath) {
   ASSERT_TRUE(assocs.ok()) << assocs.status().ToString();
   std::set<std::string> names;
   for (const Association& a : *assocs) {
-    names.insert(db_.entities().Name(a.relationship));
+    names.insert(ComposedName(db_.entities(), a.chain));
   }
   EXPECT_TRUE(names.count("LIKES"));  // direct
   EXPECT_TRUE(names.count("FAVORITE-MUSIC.PC#9-WAM.COMPOSED-BY"))

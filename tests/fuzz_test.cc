@@ -1,6 +1,7 @@
 // Robustness fuzzing: random byte soup and mutated valid inputs must
 // never crash the parsers, the WAL/snapshot readers or the mutation
 // record codec — they either parse or return a clean Status.
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <iterator>
@@ -15,6 +16,7 @@
 #include "store/text_format.h"
 #include "util/crc32c.h"
 #include "util/random.h"
+#include "util/string_util.h"
 
 namespace lsd {
 namespace {
@@ -203,13 +205,32 @@ std::string FrameRecord(const std::string& payload) {
   return out + payload;
 }
 
-// A record payload (what follows [len][crc]): random bytes, or a valid
-// fact, rule or toggle record's payload with bytes flipped, cut short,
-// or extended.
+// Whether the text verbs can spell `name` as one entity token: not
+// empty once normalized, no delimiter, not a keyword.
+bool SpellableName(const std::string& name) {
+  const std::string normalized = EntityTable::Normalize(name);
+  if (normalized.empty()) return false;
+  for (char c : normalized) {
+    if (std::isspace(static_cast<unsigned char>(c)) ||
+        std::string_view("(),*?").find(c) != std::string_view::npos) {
+      return false;
+    }
+  }
+  const std::string lower = AsciiToLower(normalized);
+  return lower != "and" && lower != "or" && lower != "exists" &&
+         lower != "forall";
+}
+
+// A record payload (what follows [len][crc]): random bytes, or a
+// well-formed fact, rule or toggle record's payload (among them facts
+// naming what no text verb can spell) with bytes flipped, cut short, or
+// extended.
 std::string RandomRecordPayload(Rng& rng) {
   static const WalRecord kValid[] = {
       {static_cast<uint8_t>(WalOpCode::kAssert), {"JOHN", "LIKES", "FELIX"}},
       {static_cast<uint8_t>(WalOpCode::kRetract), {"A", "R", "B"}},
+      {static_cast<uint8_t>(WalOpCode::kAssert), {"", "", ""}},
+      {static_cast<uint8_t>(WalOpCode::kAssert), {"NEW NAME", "R", "(B"}},
       {static_cast<uint8_t>(WalOpCode::kRule),
        {"rule pay: (?X, IN, EMPLOYEE) => (?X, EARNS, SALARY)"}},
       {static_cast<uint8_t>(WalOpCode::kDisableRule), {"pay"}},
@@ -276,12 +297,24 @@ TEST_P(FuzzTest, MutationRecordsDecodeOrErrorCleanly) {
     WalRecordParser parser;
     parser.Feed(bytes);
     WalRecord record;
+    bool unspellable = false;
     while (parser.Next(&record) == WalRecordParser::Result::kRecord) {
+      const auto op = static_cast<WalOpCode>(record.op);
+      if ((op == WalOpCode::kAssert || op == WalOpCode::kRetract) &&
+          record.fields.size() == 3) {
+        for (const std::string& name : record.fields) {
+          unspellable |= !SpellableName(name);
+        }
+      }
     }
 
     EpochPtr before = store.snapshot();
     const size_t names = before->db().entities().size();
     auto applied = session.ExecuteBatchMutation(bytes);
+    // A batch naming what the text verbs cannot spell is rejected whole.
+    if (unspellable) {
+      EXPECT_FALSE(applied.ok()) << "trial " << trial;
+    }
     if (!applied.ok()) {
       EXPECT_EQ(applied.status().code(), StatusCode::kInvalidArgument)
           << applied.status().ToString();

@@ -25,19 +25,20 @@ class CompositionTest : public ::testing::Test {
 TEST_F(CompositionTest, PaperExample) {
   store_.Assert("TOM", "ENROLLED-IN", "CS100");
   store_.Assert("CS100", "TAUGHT-BY", "HARRY");
+  const size_t names = store_.entities().size();
   CompositionOptions options;
   options.limit = 2;
   auto paths = composer_.PathsBetween(view_, E("TOM"), E("HARRY"), options);
   ASSERT_TRUE(paths.ok());
   ASSERT_EQ(paths->size(), 1u);
-  const ComposedFact& cf = (*paths)[0];
-  EXPECT_EQ(store_.entities().Name(cf.fact.relationship),
+  const FactChain& chain = (*paths)[0];
+  EXPECT_EQ(ComposedName(store_.entities(), chain),
             "ENROLLED-IN.CS100.TAUGHT-BY");
-  EXPECT_EQ(cf.fact.source, E("TOM"));
-  EXPECT_EQ(cf.fact.target, E("HARRY"));
-  ASSERT_EQ(cf.chain.size(), 2u);
-  EXPECT_EQ(store_.entities().Kind(cf.fact.relationship),
-            EntityKind::kComposed);
+  ASSERT_EQ(chain.size(), 2u);
+  EXPECT_EQ(chain.front().source, E("TOM"));
+  EXPECT_EQ(chain.back().target, E("HARRY"));
+  // The composed relationship is spelled, not interned.
+  EXPECT_EQ(store_.entities().size(), names);
 }
 
 TEST_F(CompositionTest, LimitOneDisablesComposition) {
@@ -63,7 +64,7 @@ TEST_F(CompositionTest, LimitBoundsChainLength) {
   paths = composer_.PathsBetween(view_, E("A"), E("D"), options);
   ASSERT_TRUE(paths.ok());
   ASSERT_EQ(paths->size(), 1u);
-  EXPECT_EQ((*paths)[0].chain.size(), 3u);
+  EXPECT_EQ((*paths)[0].size(), 3u);
 }
 
 // Sec 3.7: cyclic compositions are avoided; a 2-cycle produces no
@@ -89,7 +90,7 @@ TEST_F(CompositionTest, ThreeCycleStaysFinite) {
   auto paths = composer_.PathsBetween(view_, E("A"), E("C"), options);
   ASSERT_TRUE(paths.ok());
   ASSERT_EQ(paths->size(), 1u);  // A->B->C only: A may not repeat
-  EXPECT_EQ((*paths)[0].chain.size(), 2u);
+  EXPECT_EQ((*paths)[0].size(), 2u);
 }
 
 TEST_F(CompositionTest, MultiplePathsAllFound) {
@@ -163,8 +164,7 @@ TEST_F(CompositionTest, ComposedNamesNestCorrectly) {
   auto paths = composer_.PathsBetween(view_, E("A"), E("D"), options);
   ASSERT_TRUE(paths.ok());
   ASSERT_EQ(paths->size(), 1u);
-  EXPECT_EQ(store_.entities().Name((*paths)[0].fact.relationship),
-            "R1.B.R2.C.R3");
+  EXPECT_EQ(ComposedName(store_.entities(), (*paths)[0]), "R1.B.R2.C.R3");
 }
 
 TEST_F(CompositionTest, ComposedRelationshipsDoNotRecompose) {
@@ -175,7 +175,10 @@ TEST_F(CompositionTest, ComposedRelationshipsDoNotRecompose) {
   options.limit = 2;
   auto paths = composer_.PathsBetween(view_, E("A"), E("C"), options);
   ASSERT_TRUE(paths.ok());
-  store_.Assert((*paths)[0].fact);
+  ASSERT_EQ(paths->size(), 1u);
+  const EntityId composed = store_.entities().InternComposed(
+      ComposedName(store_.entities(), (*paths)[0]));
+  store_.Assert(Fact(E("A"), composed, E("C")));
   store_.Assert("C", "R3", "D");
   options.limit = 4;
   auto more = composer_.PathsBetween(view_, E("A"), E("D"), options);
@@ -183,7 +186,29 @@ TEST_F(CompositionTest, ComposedRelationshipsDoNotRecompose) {
   // Only the elementary chain A->B->C->D; the stored composed fact is
   // not used as a link.
   ASSERT_EQ(more->size(), 1u);
-  EXPECT_EQ((*more)[0].chain.size(), 3u);
+  EXPECT_EQ((*more)[0].size(), 3u);
+}
+
+// PathsBetween stops at max_results with OutOfRange, as MaterializeAll
+// does, so a hub pair cannot build an unbounded answer.
+TEST_F(CompositionTest, PathsBetweenRespectsMaxResults) {
+  for (int i = 0; i < 6; ++i) {
+    const std::string mid = "M" + std::to_string(i);
+    store_.Assert("A", "R", mid.c_str());
+    store_.Assert(mid.c_str(), "R", "B");
+  }
+  const size_t names = store_.entities().size();
+  CompositionOptions options;
+  options.limit = 2;
+  options.max_results = 6;
+  auto all = composer_.PathsBetween(view_, E("A"), E("B"), options);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all->size(), 6u);
+  options.max_results = 5;
+  auto capped = composer_.PathsBetween(view_, E("A"), E("B"), options);
+  ASSERT_FALSE(capped.ok());
+  EXPECT_EQ(capped.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(store_.entities().size(), names);
 }
 
 }  // namespace

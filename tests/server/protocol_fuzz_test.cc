@@ -499,6 +499,14 @@ TEST_F(ProtocolTortureTest, MalformedMutationBatchIsRejectedWhole) {
       {"bad crc", bad_crc},
       {"rule record", good + rule},
       {"two fields", good + FactRecords(WalOpCode::kAssert, {{"A", "B"}})},
+      // Names no text verb can spell: the applier would intern them.
+      {"empty names", good + FactRecords(WalOpCode::kAssert, {{"", "", ""}})},
+      {"blank name",
+       good + FactRecords(WalOpCode::kRetract, {{"A", " ", "B"}})},
+      {"delimiter in a name",
+       good + FactRecords(WalOpCode::kAssert, {{"A, B", "R", "C"}})},
+      {"keyword name", good + FactRecords(WalOpCode::kAssert,
+                                          {{"A", "and", "C"}})},
   };
   BinaryClient client(server_->port());
   ASSERT_TRUE(client.connected());

@@ -2,6 +2,11 @@
 // example (Sec 5.2) each get the exact paper retraction menu,
 // unaffected by the other session's hypothetical retractions. Run
 // under TSan in CI.
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -10,6 +15,7 @@
 
 #include "server/session.h"
 #include "server/shared_store.h"
+#include "workload/music_domain.h"
 #include "workload/university_domain.h"
 
 namespace lsd {
@@ -304,6 +310,59 @@ TEST_F(EpochUniverseTest, WhatIfKeepsItsEpochsUniverse) {
   EXPECT_EQ(Run(browser, kForall), "true\n");
   Run(browser, "hypo clear");
   EXPECT_EQ(Run(browser, kForall), "true\n");
+}
+
+// A read writes nothing shared. `assoc` used to mint every composition
+// it found as an entity of the table all epochs share; now it spells
+// them from their chains, so another session's `assoc` leaves the entity
+// count in `stats` and the next checkpoint's snapshot bytes as they were.
+TEST(ReadsWriteNothingTest, AssocLeavesEntitiesAndSnapshotUnchanged) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("lsd_assoc_reads_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  auto run = [](ServerSession& session, std::string_view line) {
+    auto result = session.Execute(line);
+    EXPECT_TRUE(result.ok()) << line << ": " << result.status().ToString();
+    return result.ok() ? *result : std::string();
+  };
+  auto entities_line = [](const std::string& stats) {
+    const size_t at = stats.find("entities:");
+    if (at == std::string::npos) return std::string();
+    return stats.substr(at, stats.find('\n', at) - at);
+  };
+  // Twin durable stores take the same commits; only the second serves an
+  // assoc before both checkpoint.
+  std::string snapshot[2];
+  for (int twin = 0; twin < 2; ++twin) {
+    const std::string prefix = (dir / ("db" + std::to_string(twin))).string();
+    SharedStore store;
+    ASSERT_TRUE(store.OpenDurable(prefix).ok());
+    ASSERT_TRUE(store
+                    .Commit([](LooseDb& db) {
+                      workload::BuildMusicDomain(&db);
+                      return Status::OK();
+                    })
+                    .ok());
+    ServerSession reader(1, &store);
+    ServerSession browser(2, &store);
+    const std::string before = entities_line(run(reader, "stats"));
+    ASSERT_FALSE(before.empty());
+    if (twin == 1) {
+      EXPECT_NE(run(browser, "assoc JOHN MOZART")
+                    .find("FAVORITE-MUSIC.PC#9-WAM.COMPOSED-BY"),
+                std::string::npos);
+    }
+    EXPECT_EQ(entities_line(run(reader, "stats")), before);
+    run(reader, "checkpoint");
+    std::ifstream in(prefix + ".snap", std::ios::binary);
+    snapshot[twin].assign(std::istreambuf_iterator<char>(in), {});
+    ASSERT_FALSE(snapshot[twin].empty());
+  }
+  EXPECT_TRUE(snapshot[0] == snapshot[1])
+      << "snapshot bytes differ (" << snapshot[0].size() << " vs "
+      << snapshot[1].size() << " bytes)";
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

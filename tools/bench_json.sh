@@ -2,8 +2,9 @@
 # Runs the checked-in benchmark suites with JSON output and writes the
 # results at the repo root:
 #   BENCH_closure.json     bench_closure (rule-engine closure fixpoint).
-#   BENCH_query.json       bench_join_order + bench_probing (query
-#                          planner, merge-join ablation, probing waves),
+#   BENCH_query.json       bench_join_order + bench_probing +
+#                          bench_composition (query planner, merge-join
+#                          ablation, probing waves, composition walks),
 #                          combined into one object keyed by suite name.
 #   BENCH_server.json      bench_server (serving-layer throughput and
 #                          latency percentiles from 1 to 4096+ sessions
@@ -43,7 +44,8 @@ echo "configuring Release tree at $build_dir"
 cmake -S "$repo_root" -B "$build_dir" -DCMAKE_BUILD_TYPE=Release \
   > /dev/null
 cmake --build "$build_dir" -j "$(nproc)" --target \
-  bench_closure bench_join_order bench_probing bench_server \
+  bench_closure bench_join_order bench_probing bench_composition \
+  bench_server \
   bench_recovery bench_replication bench_compaction > /dev/null
 
 require() {
@@ -75,9 +77,11 @@ run_bench() {
 closure="$build_dir/bench/bench_closure"
 join_order="$build_dir/bench/bench_join_order"
 probing="$build_dir/bench/bench_probing"
+composition="$build_dir/bench/bench_composition"
 require "$closure"
 require "$join_order"
 require "$probing"
+require "$composition"
 
 out="$repo_root/BENCH_closure.json"
 run_bench "$closure" "$out"
@@ -85,19 +89,23 @@ echo "wrote $out"
 
 tmp_join=$(mktemp)
 tmp_probe=$(mktemp)
-trap 'rm -f "$tmp_join" "$tmp_probe"' EXIT
+tmp_compose=$(mktemp)
+trap 'rm -f "$tmp_join" "$tmp_probe" "$tmp_compose"' EXIT
 run_bench "$join_order" "$tmp_join"
 run_bench "$probing" "$tmp_probe"
+run_bench "$composition" "$tmp_compose"
 
 out="$repo_root/BENCH_query.json"
 # The host the numbers come from, as the machine reports it.
 host="$(nproc) CPUs, $(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1)"
 {
-  printf '{"comment": "Release bench_join_order + bench_probing runs (E11 conjunct-ordering + merge-join ablation, E4 probing waves, lattice build and commit warm) for the current tree on %s; regenerate with tools/bench_json.sh",\n' "$host"
+  printf '{"comment": "Release bench_join_order + bench_probing + bench_composition runs (E11 conjunct-ordering + merge-join ablation, E4 probing waves, lattice build and commit warm, E3 composition walks) for the current tree on %s; regenerate with tools/bench_json.sh",\n' "$host"
   printf '"bench_join_order":'
   cat "$tmp_join"
   printf ',"bench_probing":'
   cat "$tmp_probe"
+  printf ',"bench_composition":'
+  cat "$tmp_compose"
   printf '}\n'
 } > "$out"
 echo "wrote $out"
@@ -114,7 +122,7 @@ require "$server_bench"
 out="$repo_root/BENCH_server.json"
 tmp_browse=$(mktemp)
 tmp_hostile=$(mktemp)
-trap 'rm -f "$tmp_join" "$tmp_probe" "$tmp_browse" "$tmp_hostile"' EXIT
+trap 'rm -f "$tmp_join" "$tmp_probe" "$tmp_compose" "$tmp_browse" "$tmp_hostile"' EXIT
 "$server_bench" --sessions 1,4,16,64,256,1024,4096,10000 --requests 100 \
   --protocols text,binary --window 16 --json "$tmp_browse"
 # Hostile governance sweep: a slice of each session's requests is a
@@ -146,7 +154,7 @@ echo "wrote $out"
 out="$repo_root/BENCH_wal.json"
 tmp_wal=$(mktemp)
 tmp_preload=$(mktemp)
-trap 'rm -f "$tmp_join" "$tmp_probe" "$tmp_browse" "$tmp_hostile" "$tmp_wal" "$tmp_preload"' EXIT
+trap 'rm -f "$tmp_join" "$tmp_probe" "$tmp_compose" "$tmp_browse" "$tmp_hostile" "$tmp_wal" "$tmp_preload"' EXIT
 "$server_bench" --sessions 1,4,16,64 --requests 100 --protocols binary \
   --window 4 --write-pct 100 --sync fsync --json "$tmp_wal"
 {
