@@ -164,8 +164,7 @@ void LooseDb::MarkClassRelationship(std::string_view relationship) {
 }
 
 Status LooseDb::DefineRule(std::string_view text, RuleKind kind) {
-  LSD_ASSIGN_OR_RETURN(Rule rule,
-                       ParseRuleLine(text, kind, &store_.entities()));
+  LSD_ASSIGN_OR_RETURN(Rule rule, ParseRule(text, kind, &store_.entities()));
   return AddRule(std::move(rule));
 }
 
@@ -617,24 +616,16 @@ Status LooseDb::LoadText(std::string_view text) {
   std::vector<Fact> facts;
   LSD_RETURN_IF_ERROR(
       ParseText(text, &store_.entities(), &facts, &rules, &definitions_));
-  return AddLoaded(std::move(rules), facts);
-}
-
-Status LooseDb::LoadTextFile(const std::string& path) {
-  std::vector<Rule> rules;
-  std::vector<Fact> facts;
-  LSD_RETURN_IF_ERROR(lsd::LoadTextFile(path, &store_.entities(), &facts,
-                                        &rules, &definitions_));
-  return AddLoaded(std::move(rules), facts);
-}
-
-Status LooseDb::AddLoaded(std::vector<Rule> rules,
-                          const std::vector<Fact>& facts) {
   AssertAll(facts);
   for (Rule& r : rules) {
     LSD_RETURN_IF_ERROR(AddRule(std::move(r)));
   }
   return Status::OK();
+}
+
+Status LooseDb::LoadTextFile(const std::string& path) {
+  LSD_ASSIGN_OR_RETURN(std::string text, ReadTextFile(path));
+  return LoadText(text);
 }
 
 Status LooseDb::Save(const std::string& path_prefix) const {

@@ -354,8 +354,6 @@ class LooseDb {
 
  private:
   EntityId MustLookup(std::string_view name, Status* status) const;
-  // Adds `rules` (parsed from .lsd text) and asserts `facts`.
-  Status AddLoaded(std::vector<Rule> rules, const std::vector<Fact>& facts);
 
   LooseDbOptions options_;
   FactStore store_;

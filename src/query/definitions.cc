@@ -9,33 +9,6 @@ namespace lsd {
 
 namespace {
 
-// Splits "name(a, b, c)" into the name and raw argument tokens.
-Status SplitCall(std::string_view text, std::string* name,
-                 std::vector<std::string>* args) {
-  text = StripWhitespace(text);
-  size_t open = text.find('(');
-  if (open == std::string_view::npos || text.back() != ')') {
-    return Status::ParseError("expected name(arg, ...): " +
-                              std::string(text));
-  }
-  *name = AsciiToLower(StripWhitespace(text.substr(0, open)));
-  if (name->empty()) {
-    return Status::ParseError("missing definition name");
-  }
-  std::string_view inner = text.substr(open + 1, text.size() - open - 2);
-  if (!StripWhitespace(inner).empty()) {
-    for (std::string_view piece : Split(inner, ',')) {
-      piece = StripWhitespace(piece);
-      if (piece.empty()) {
-        return Status::ParseError("empty argument in call: " +
-                                  std::string(text));
-      }
-      args->push_back(std::string(piece));
-    }
-  }
-  return Status::OK();
-}
-
 // Replaces occurrences of the variable `from` with `to` in a subtree.
 void SubstituteVar(AstNode* node, VarId from, Term to) {
   switch (node->kind) {
@@ -62,38 +35,25 @@ void SubstituteVar(AstNode* node, VarId from, Term to) {
 
 Status DefinitionRegistry::Define(std::string_view text,
                                   EntityTable* entities) {
-  size_t sep = text.find(":=");
-  if (sep == std::string_view::npos) {
-    return Status::ParseError(
-        "definition needs ':=' between head and body");
-  }
-  std::string name;
-  std::vector<std::string> raw_params;
-  LSD_RETURN_IF_ERROR(
-      SplitCall(text.substr(0, sep), &name, &raw_params));
-
+  LSD_ASSIGN_OR_RETURN(ParsedDefinition parsed, ParseDefinition(text));
   Definition definition;
-  definition.name = std::move(name);
-  for (const std::string& p : raw_params) {
-    if (p.empty() || p[0] != '?') {
-      return Status::ParseError("definition parameters must be "
-                                "?variables, got: " +
-                                p);
+  definition.name = std::move(parsed.head.name);
+  for (const Token& param : parsed.head.args) {
+    if (param.kind != TokenKind::kVariable) {
+      return Status::ParseError(
+          "definition parameters must be ?variables, got: " + param.text);
     }
-    definition.params.push_back(AsciiToUpper(p.substr(1)));
+    definition.params.push_back(AsciiToUpper(param.text));
   }
-  LSD_ASSIGN_OR_RETURN(definition.body,
-                       ParseQuery(text.substr(sep + 2), entities));
+  definition.body = InternNames(std::move(parsed.body), entities);
 
   // Every parameter must occur free in the body; extra free variables
   // are allowed (they become output columns of every invocation).
-  std::vector<VarId> free = definition.body.FreeVars();
+  const std::vector<VarId> free = definition.body.FreeVars();
   for (const std::string& p : definition.params) {
-    bool found = false;
-    for (VarId v : free) {
-      if (definition.body.var_names()[v] == p) found = true;
-    }
-    if (!found) {
+    if (std::none_of(free.begin(), free.end(), [&](VarId v) {
+          return definition.body.var_names()[v] == p;
+        })) {
       return Status::ParseError("parameter ?" + p +
                                 " does not occur free in the body");
     }
@@ -131,20 +91,12 @@ std::vector<std::string> DefinitionRegistry::Names() const {
 
 StatusOr<Query> DefinitionRegistry::ParseCall(std::string_view text,
                                               EntityTable* entities) const {
-  std::string name;
-  std::vector<std::string> args;
-  LSD_RETURN_IF_ERROR(SplitCall(text, &name, &args));
-  return Instantiate(name, args, entities);
-}
-
-StatusOr<Query> DefinitionRegistry::Instantiate(
-    std::string_view name, const std::vector<std::string>& args,
-    EntityTable* entities) const {
-  const Definition* definition = Find(name);
+  LSD_ASSIGN_OR_RETURN(ParsedCall call, ParseCallNames(text));
+  const Definition* definition = Find(call.name);
   if (definition == nullptr) {
-    return Status::NotFound("no definition named '" + std::string(name) +
-                            "'");
+    return Status::NotFound("no definition named '" + call.name + "'");
   }
+  const std::vector<Token>& args = call.args;
   if (args.size() != definition->params.size()) {
     return Status::InvalidArgument(
         "'" + definition->name + "' takes " +
@@ -155,55 +107,33 @@ StatusOr<Query> DefinitionRegistry::Instantiate(
   Query query = definition->body.Clone();
   std::vector<std::string> var_names = query.var_names();
 
+  const size_t body_vars = var_names.size();
   int anon = 0;
   for (size_t i = 0; i < args.size(); ++i) {
-    // Locate the parameter's variable id in the body's table.
-    VarId param = 0;
-    bool found = false;
-    for (size_t v = 0; v < var_names.size(); ++v) {
-      if (var_names[v] == definition->params[i]) {
-        param = static_cast<VarId>(v);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    const auto param = std::find(var_names.begin(),
+                                 var_names.begin() + body_vars,
+                                 definition->params[i]);
+    if (param == var_names.begin() + body_vars) {
       return Status::Internal("definition parameter vanished");
     }
-    const std::string& arg = args[i];
+    const VarId param_id = static_cast<VarId>(param - var_names.begin());
+    const Token& arg = args[i];
     Term replacement;
-    if (arg == "*") {
+    if (arg.kind == TokenKind::kStar) {
       var_names.push_back("_CALL" + std::to_string(++anon));
-      replacement =
-          Term::Var(static_cast<VarId>(var_names.size() - 1));
-    } else if (arg[0] == '?') {
-      std::string requested = AsciiToUpper(arg.substr(1));
-      if (requested.empty()) {
-        return Status::ParseError("'?' needs a variable name");
-      }
-      // Reuse an argument variable if two parameters are bound to the
-      // same name; otherwise mint it.
-      VarId id = kAnyEntity;
-      for (size_t v = 0; v < var_names.size(); ++v) {
-        if (var_names[v] == requested &&
-            (v >= definition->body.var_names().size() ||
-             requested == definition->params[i])) {
-          // Only merge with variables we minted for this call, never
-          // with the body's internal variables.
-          if (v >= definition->body.var_names().size()) {
-            id = static_cast<VarId>(v);
-          }
-        }
-      }
-      if (id == kAnyEntity) {
-        var_names.push_back(requested);
-        id = static_cast<VarId>(var_names.size() - 1);
-      }
-      replacement = Term::Var(id);
+      replacement = Term::Var(static_cast<VarId>(var_names.size() - 1));
+    } else if (arg.kind == TokenKind::kVariable) {
+      // Two parameters bound to the same name share the variable minted
+      // for it; the body's own variables are never merged with.
+      const std::string requested = AsciiToUpper(arg.text);
+      size_t v = body_vars;
+      while (v < var_names.size() && var_names[v] != requested) ++v;
+      if (v == var_names.size()) var_names.push_back(requested);
+      replacement = Term::Var(static_cast<VarId>(v));
     } else {
-      replacement = Term::Entity(entities->Intern(arg));
+      replacement = Term::Entity(entities->Intern(arg.text));
     }
-    SubstituteVar(query.mutable_root(), param, replacement);
+    SubstituteVar(query.mutable_root(), param_id, replacement);
   }
 
   return Query(query.mutable_root()->Clone(), std::move(var_names));

@@ -10,10 +10,12 @@
 //   author-of(B-LOGIC, ?WHO)   ->  (B-LOGIC, IN, BOOK) and
 //                                  (B-LOGIC, AUTHOR, ?WHO)
 //
-// Arguments may be entities, ?variables, or * (fresh anonymous
-// variable). The built-in try(e) operator is definable this way in
-// spirit; relation() is not (it changes the output shape), which is why
-// those remain native operators.
+// Heads and invocations are read by the one template parser
+// (query/parser.h): each argument is a position, so it may be an
+// entity name (inner spaces and keywords included), a ?variable, or *
+// (fresh anonymous variable). The built-in try(e) operator is definable
+// this way in spirit; relation() is not (it changes the output shape),
+// which is why those remain native operators.
 #ifndef LSD_QUERY_DEFINITIONS_H_
 #define LSD_QUERY_DEFINITIONS_H_
 
@@ -51,14 +53,9 @@ class DefinitionRegistry {
   const std::vector<Definition>& all() const { return definitions_; }
 
   // Parses an invocation "name(arg, ...)" and returns the instantiated
-  // query. Each arg is an entity token, "?var" or "*".
+  // query, its entity arguments interned.
   StatusOr<Query> ParseCall(std::string_view text,
                             EntityTable* entities) const;
-
-  // Programmatic instantiation.
-  StatusOr<Query> Instantiate(std::string_view name,
-                              const std::vector<std::string>& args,
-                              EntityTable* entities) const;
 
  private:
   std::vector<Definition> definitions_;

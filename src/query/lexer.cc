@@ -8,9 +8,65 @@ namespace lsd {
 
 namespace {
 
+bool IsSpace(char c) { return std::isspace(static_cast<unsigned char>(c)); }
+
+// Ends a word between position lists.
 bool IsDelimiter(char c) {
-  return c == '(' || c == ')' || c == ',' || c == '*' || c == '?' ||
-         std::isspace(static_cast<unsigned char>(c));
+  return c == '(' || c == ')' || c == ',' || c == '?' || IsSpace(c);
+}
+
+Status ErrorAt(const std::string& msg, size_t offset) {
+  return Status::ParseError(msg + " (offset " + std::to_string(offset) + ")");
+}
+
+TokenKind WordKind(std::string_view word) {
+  if (word == "=>") return TokenKind::kArrow;
+  if (word == ":=") return TokenKind::kDefines;
+  const std::string lower = AsciiToLower(word);
+  if (lower == "and") return TokenKind::kAnd;
+  if (lower == "or") return TokenKind::kOr;
+  if (lower == "exists") return TokenKind::kExists;
+  if (lower == "forall") return TokenKind::kForall;
+  if (lower == "where") return TokenKind::kWhere;
+  return TokenKind::kEntity;
+}
+
+// Appends the tokens of the position list whose '(' is at input[*i] and
+// moves *i past its ')'.
+Status LexPositions(std::string_view input, size_t* i,
+                    std::vector<Token>* tokens) {
+  tokens->push_back({TokenKind::kLParen, "(", *i});
+  for (size_t start = *i + 1;;) {
+    const size_t end = input.find_first_of("(),", start);
+    if (end == std::string_view::npos) {
+      return ErrorAt("unbalanced '('", *i);
+    }
+    if (input[end] == '(') return ErrorAt("'(' inside a template", end);
+    const std::string_view text =
+        StripWhitespace(input.substr(start, end - start));
+    const size_t offset = text.data() - input.data();
+    if (text.find_first_of("\n\r") != std::string_view::npos) {
+      return ErrorAt("line break inside a name", offset);
+    }
+    if (text == "?") {
+      return ErrorAt("'?' must be followed by a variable name", offset);
+    }
+    if (!text.empty()) {
+      const TokenKind kind = text == "*"       ? TokenKind::kStar
+                             : text[0] == '?' ? TokenKind::kVariable
+                                              : TokenKind::kEntity;
+      tokens->push_back(
+          {kind, std::string(text.substr(kind == TokenKind::kVariable)),
+           offset});
+    }
+    if (input[end] == ')') {
+      tokens->push_back({TokenKind::kRParen, ")", end});
+      *i = end + 1;
+      return Status::OK();
+    }
+    tokens->push_back({TokenKind::kComma, ",", end});
+    start = end + 1;
+  }
 }
 
 }  // namespace
@@ -19,31 +75,32 @@ StatusOr<std::vector<Token>> Tokenize(std::string_view input) {
   std::vector<Token> tokens;
   size_t i = 0;
   while (i < input.size()) {
-    char c = input[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    const char c = input[i];
+    if (IsSpace(c)) {
       ++i;
       continue;
     }
     switch (c) {
-      case '(':
-        tokens.push_back({TokenKind::kLParen, "(", i++});
+      case '(': {
+        const size_t next = input.find_first_of("(),", i + 1);
+        if (next == std::string_view::npos || input[next] != '(') {
+          LSD_RETURN_IF_ERROR(LexPositions(input, &i, &tokens));
+        } else {
+          tokens.push_back({TokenKind::kLParen, "(", i++});
+        }
         continue;
+      }
       case ')':
         tokens.push_back({TokenKind::kRParen, ")", i++});
         continue;
       case ',':
         tokens.push_back({TokenKind::kComma, ",", i++});
         continue;
-      case '*':
-        tokens.push_back({TokenKind::kStar, "*", i++});
-        continue;
       case '?': {
-        size_t start = ++i;
+        const size_t start = ++i;
         while (i < input.size() && !IsDelimiter(input[i])) ++i;
         if (i == start) {
-          return Status::ParseError(
-              "'?' must be followed by a variable name (offset " +
-              std::to_string(start - 1) + ")");
+          return ErrorAt("'?' must be followed by a variable name", start - 1);
         }
         tokens.push_back({TokenKind::kVariable,
                           std::string(input.substr(start, i - start)),
@@ -51,21 +108,10 @@ StatusOr<std::vector<Token>> Tokenize(std::string_view input) {
         continue;
       }
       default: {
-        size_t start = i;
+        const size_t start = i;
         while (i < input.size() && !IsDelimiter(input[i])) ++i;
-        std::string word(input.substr(start, i - start));
-        std::string lower = AsciiToLower(word);
-        TokenKind kind = TokenKind::kEntity;
-        if (lower == "and") {
-          kind = TokenKind::kAnd;
-        } else if (lower == "or") {
-          kind = TokenKind::kOr;
-        } else if (lower == "exists") {
-          kind = TokenKind::kExists;
-        } else if (lower == "forall") {
-          kind = TokenKind::kForall;
-        }
-        tokens.push_back({kind, std::move(word), start});
+        const std::string_view word = input.substr(start, i - start);
+        tokens.push_back({WordKind(word), std::string(word), start});
         continue;
       }
     }

@@ -1,11 +1,23 @@
-// Tokenizer for the concrete query syntax:
+// Tokenizer for the one template notation every statement is written
+// in (docs/FORMAT.md): facts, rules, queries, definitions and calls.
 //
 //   (?X, IN, BOOK) and exists ?Y ((?X, AUTHOR, ?Y) or (?X, EDITOR, ?Y))
-//   (JOHN, *, *)                       -- '*' is an anonymous variable
+//   r1: (?X, IN, A), (JOHN SMITH, *, ?X) => (?X, GOES, NOWHERE)
+//   author-of(?B, ?A) := (?B, IN, BOOK) and (?B, AUTHOR, ?A)
 //
-// Keywords (case-insensitive, reserved): and, or, exists, forall.
-// Entity tokens may contain any characters except whitespace, '(', ')',
-// ',', '?' and '*'; '?' introduces a named variable.
+// A '(' whose next '(', ')' or ',' is not a '(' opens a position list:
+// each position is its text up to the next ',' or ')', trimmed. A lone
+// '*' is kStar, a text that begins with '?' is a kVariable named by the
+// rest, and any other text is one kEntity name — inner spaces, '*', '?'
+// and keywords included. An empty position yields no token; a position
+// may not hold a '(' or a line break.
+//
+// Between position lists the input splits at whitespace and at '(',
+// ')', ',' and '?'. There the words and, or, exists, forall, where
+// (case-insensitive), => and := are separators, '?NAME' is a variable
+// and any other word is a kEntity (a definition's name, a where-clause's
+// individual|class). So a keyword separates only between templates,
+// never inside a name.
 #ifndef LSD_QUERY_LEXER_H_
 #define LSD_QUERY_LEXER_H_
 
@@ -23,11 +35,14 @@ enum class TokenKind : uint8_t {
   kComma,
   kStar,
   kVariable,  // text = name without '?'
-  kEntity,    // text = raw entity token
+  kEntity,    // text = a position's trimmed text, or a word
   kAnd,
   kOr,
   kExists,
   kForall,
+  kWhere,
+  kArrow,    // =>
+  kDefines,  // :=
   kEnd,
 };
 

@@ -13,13 +13,13 @@
 // Reads run against the session's pinned epoch (or its hypothetical
 // overlay); writes go through SharedStore::Commit and become visible to
 // all sessions at the next epoch.
+#include <algorithm>
 #include <cstdio>
-#include <iterator>
 #include <sstream>
 #include <string>
 
 #include "browse/dot_export.h"
-#include "query/lexer.h"
+#include "query/parser.h"
 #include "query/table_formatter.h"
 #include "replication/monitor.h"
 #include "server/session.h"
@@ -30,25 +30,27 @@ namespace lsd {
 
 namespace {
 
-// Parses "(S, R, T)" into a fact record of normalized names. It interns
-// nothing: the names reach the shared entity table only if an assert of
-// them is applied.
-StatusOr<WalRecord> ParseFactRecord(WalOpCode op, std::string_view text) {
-  LSD_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  constexpr TokenKind kShape[] = {
-      TokenKind::kLParen, TokenKind::kEntity, TokenKind::kComma,
-      TokenKind::kEntity, TokenKind::kComma,  TokenKind::kEntity,
-      TokenKind::kRParen, TokenKind::kEnd};
-  WalRecord record{static_cast<uint8_t>(op), {}};
-  for (size_t i = 0; i < std::size(kShape); ++i) {
-    if (i >= tokens.size() || tokens[i].kind != kShape[i]) {
-      return Status::InvalidArgument("expected a ground template (S, R, T)");
-    }
-    if (kShape[i] == TokenKind::kEntity) {
-      record.fields.push_back(EntityTable::Normalize(tokens[i].text));
-    }
+// Parses the ground templates "(S, R, T) ..." of a mutation verb into
+// fact records of normalized names; a verb that is not batched takes
+// exactly one. It interns nothing: the names reach the shared entity
+// table only if an assert of them is applied.
+StatusOr<std::vector<WalRecord>> ParseFactRecords(WalOpCode op,
+                                                  std::string_view text,
+                                                  bool batch) {
+  auto facts = ParseFacts(text);
+  if (!facts.ok() || (!batch && facts->size() != 1)) {
+    return Status::InvalidArgument(
+        "expected a ground template (S, R, T)" +
+        (facts.ok() ? std::string() : ": " + facts.status().message()));
   }
-  return record;
+  std::vector<WalRecord> records;
+  for (const FactNames& f : *facts) {
+    records.push_back({static_cast<uint8_t>(op),
+                       {EntityTable::Normalize(f[0]),
+                        EntityTable::Normalize(f[1]),
+                        EntityTable::Normalize(f[2])}});
+  }
+  return records;
 }
 
 std::string RenderFact(const WalRecord& record) {
@@ -58,13 +60,14 @@ std::string RenderFact(const WalRecord& record) {
 
 // Whether a fact record names only what the text verbs can spell: its
 // "(S, R, T)" rendering parses back to the same normalized names. An
-// empty name, a keyword or a name holding a delimiter does not.
+// empty name, a lone '*', a '?NAME' or a name holding '(', ')', ',' or
+// a line break does not.
 bool SpelledByTextVerbs(const WalRecord& record) {
-  auto parsed = ParseFactRecord(static_cast<WalOpCode>(record.op),
-                                RenderFact(record));
+  auto parsed = ParseFactRecords(static_cast<WalOpCode>(record.op),
+                                 RenderFact(record), /*batch=*/false);
   if (!parsed.ok()) return false;
   for (size_t i = 0; i < record.fields.size(); ++i) {
-    if (parsed->fields[i] != EntityTable::Normalize(record.fields[i])) {
+    if ((*parsed)[0].fields[i] != EntityTable::Normalize(record.fields[i])) {
       return false;
     }
   }
@@ -133,35 +136,43 @@ uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
   return b > UINT64_MAX - a ? UINT64_MAX : a + b;
 }
 
-// Join-cost upper bound of a formula against a closure: per-atom
-// candidate estimates, multiplied across conjunctions and summed across
-// disjunctions (shared-variable selectivity is ignored — this is a shed
-// heuristic, not a plan). A single bound probe prices at its handful of
-// index hits; an unbound join saturates.
+// Join-cost upper bound of a parsed formula against a closure, its
+// names resolved to `ids` by lookup: per-atom candidate estimates,
+// multiplied across conjunctions and summed across disjunctions
+// (shared-variable selectivity is ignored — this is a shed heuristic,
+// not a plan). A single bound probe prices at its handful of index
+// hits, an atom naming an unknown entity at zero (it matches nothing);
+// an unbound join saturates.
 uint64_t EstimateFormula(const ClosureView& view, const AstNode* node,
-                         const Binding& unbound) {
+                         const std::vector<std::optional<EntityId>>& ids) {
   switch (node->kind) {
-    case NodeKind::kAtom:
-      return view.EstimateMatches(node->atom.Bind(unbound));
+    case NodeKind::kAtom: {
+      EntityId bound[3];
+      for (int i = 0; i < 3; ++i) {
+        const Term& term = node->atom.at(i);
+        const auto id = term.is_entity() ? ids[term.entity()] : kAnyEntity;
+        if (!id.has_value()) return 0;
+        bound[i] = *id;
+      }
+      return view.EstimateMatches(Pattern(bound[0], bound[1], bound[2]));
+    }
     case NodeKind::kAnd: {
       uint64_t cost = 1;
       for (const auto& child : node->children) {
-        cost = SaturatingMul(cost,
-                             EstimateFormula(view, child.get(), unbound));
+        cost = SaturatingMul(cost, EstimateFormula(view, child.get(), ids));
       }
       return cost;
     }
     case NodeKind::kOr: {
       uint64_t cost = 0;
       for (const auto& child : node->children) {
-        cost = SaturatingAdd(cost,
-                             EstimateFormula(view, child.get(), unbound));
+        cost = SaturatingAdd(cost, EstimateFormula(view, child.get(), ids));
       }
       return cost;
     }
     case NodeKind::kExists:
     case NodeKind::kForall:
-      return EstimateFormula(view, node->children[0].get(), unbound);
+      return EstimateFormula(view, node->children[0].get(), ids);
   }
   return 0;
 }
@@ -172,11 +183,15 @@ uint64_t EstimateFormula(const ClosureView& view, const AstNode* node,
 // enumerations, computed against the shared snapshot (never the
 // overlay — building the overlay can itself be the expensive part, and
 // a pending rebuild is priced in explicitly). Verbs we can see inside
-// (query/probe) are priced by the planner's per-atom estimates;
-// unbounded searches (assoc/near/dist/check/dot and operator calls,
-// whose expansion we do not pre-resolve) are priced at one full closure
-// scan; navigation at the entity's degree; control verbs and point
-// mutations at zero.
+// (query/probe) are priced by the planner's per-atom estimates. The
+// walks are priced by the fan they walk, from their endpoints' degrees
+// (an unknown name prices at zero: the verb fails on it): assoc S T
+// joins S's first hops to T's last hops, out(S) × in(T); near E r
+// searches r rings around E, deg(E)^r; dist A B searches around A until
+// it meets B, two rings, deg(A)². Navigation prices at the entity's
+// degree; the other unbounded searches (check/dot/relation and operator
+// calls, whose expansion we do not pre-resolve) at one full closure
+// scan; control verbs and point mutations at zero.
 uint64_t ServerSession::EstimateCost(const std::string& cmd,
                                      const std::string& rest) {
   EpochPtr epoch = store_->snapshot();
@@ -193,30 +208,54 @@ uint64_t ServerSession::EstimateCost(const std::string& cmd,
   auto view = db.View();
   if (!view.ok()) return cost;  // unwarmed epoch: price what we know
   const ClosureView& v = **view;
-  const uint64_t full_scan = v.EstimateMatches(Pattern());
   if (cmd == "query" || cmd == "probe") {
-    auto q = ParseQuery(rest, &db.entities());
+    // Priced from the names alone: pricing interns nothing, so a shed
+    // request leaves no name in the table every epoch shares.
+    auto parsed = ParseQueryNames(rest);
     // A malformed query is cheap: Execute will reject it at parse time.
-    if (!q.ok()) return cost;
-    return SaturatingAdd(
-        cost, EstimateFormula(v, q->root(), Binding(q->num_vars())));
+    if (!parsed.ok()) return cost;
+    std::vector<std::optional<EntityId>> ids;
+    ids.reserve(parsed->names.size());
+    for (const std::string& name : parsed->names) {
+      ids.push_back(db.entities().Lookup(name));
+    }
+    return SaturatingAdd(cost,
+                         EstimateFormula(v, parsed->query.root(), ids));
   }
-  if (cmd == "call" || cmd == "assoc" || cmd == "near" || cmd == "dist" ||
-      cmd == "check" || cmd == "dot" || cmd == "relation") {
-    return SaturatingAdd(cost, full_scan);
+  // Facts naming `name` as source and/or target; 0 if it is unknown.
+  auto degree = [&](const std::string& name, bool out, bool in) -> uint64_t {
+    const auto id = db.entities().Lookup(name);
+    if (!id.has_value()) return 0;
+    return SaturatingAdd(
+        out ? v.EstimateMatches(Pattern(*id, kAnyEntity, kAnyEntity)) : 0,
+        in ? v.EstimateMatches(Pattern(kAnyEntity, kAnyEntity, *id)) : 0);
+  };
+  if (cmd == "assoc" || cmd == "near" || cmd == "dist") {
+    std::istringstream args(rest);
+    std::string a, b;
+    int rings = 2;
+    args >> a;
+    if (cmd == "near") args >> rings;
+    args >> b;
+    if (cmd == "assoc") {
+      return SaturatingAdd(cost, SaturatingMul(degree(a, true, false),
+                                               degree(b, false, true)));
+    }
+    // deg^rings, saturating (a degree past 1 saturates within 64).
+    const uint64_t deg = degree(a, true, true);
+    uint64_t fan = 1;
+    for (int i = 0; i < std::min(rings, 64); ++i) fan = SaturatingMul(fan, deg);
+    return SaturatingAdd(cost, fan);
+  }
+  if (cmd == "call" || cmd == "check" || cmd == "dot" || cmd == "relation") {
+    return SaturatingAdd(cost, v.EstimateMatches(Pattern()));
   }
   if (cmd == "nav" || cmd == "visit" || cmd == "back" || cmd == "forward") {
-    std::string entity = rest.substr(0, rest.find(' '));
-    if (cmd == "back" || cmd == "forward") {
-      entity = trail_.empty() ? std::string() : trail_[trail_pos_];
-    }
-    auto id = db.entities().Lookup(entity);
-    if (!id.has_value()) return cost;
-    return SaturatingAdd(
-        cost,
-        SaturatingAdd(
-            v.EstimateMatches(Pattern(*id, kAnyEntity, kAnyEntity)),
-            v.EstimateMatches(Pattern(kAnyEntity, kAnyEntity, *id))));
+    const std::string& entity =
+        cmd == "nav" || cmd == "visit"
+            ? rest
+            : (trail_.empty() ? std::string() : trail_[trail_pos_]);
+    return SaturatingAdd(cost, degree(entity, true, true));
   }
   return cost;
 }
@@ -323,9 +362,10 @@ StatusOr<std::string> ServerSession::ExecuteHypo(std::string_view rest) {
   // overlay) actually asserts.
   const bool retract = sub == "retract";
   LSD_ASSIGN_OR_RETURN(
-      WalRecord named,
-      ParseFactRecord(retract ? WalOpCode::kRetract : WalOpCode::kAssert,
-                      arg));
+      std::vector<WalRecord> records,
+      ParseFactRecords(retract ? WalOpCode::kRetract : WalOpCode::kAssert,
+                       arg, /*batch=*/false));
+  WalRecord& named = records[0];
   if (retract) {
     EpochPtr epoch = store_->snapshot();
     const LooseDb& db = epoch->db();
@@ -629,30 +669,8 @@ StatusOr<std::string> ServerSession::Execute(std::string_view line) {
     const bool batch = cmd.back() == '*';
     const bool retract = cmd[0] == 'r';
     const WalOpCode op = retract ? WalOpCode::kRetract : WalOpCode::kAssert;
-    std::vector<WalRecord> records;
-    if (!batch) {
-      LSD_ASSIGN_OR_RETURN(WalRecord record, ParseFactRecord(op, rest));
-      records.push_back(std::move(record));
-    } else {
-      for (size_t pos = 0;;) {
-        const size_t open = rest.find('(', pos);
-        if (open == std::string::npos) break;
-        const size_t close = rest.find(')', open);
-        if (close == std::string::npos) {
-          return Status::InvalidArgument("unbalanced '(' in batch");
-        }
-        LSD_ASSIGN_OR_RETURN(
-            WalRecord record,
-            ParseFactRecord(op, std::string_view(rest).substr(
-                                    open, close - open + 1)));
-        records.push_back(std::move(record));
-        pos = close + 1;
-      }
-      if (records.empty()) {
-        return Status::InvalidArgument("usage: " + cmd +
-                                       " (S,R,T) [(S,R,T) ...]");
-      }
-    }
+    LSD_ASSIGN_OR_RETURN(std::vector<WalRecord> records,
+                         ParseFactRecords(op, rest, batch));
     LSD_ASSIGN_OR_RETURN(LooseDb::Tally tally, CommitRecords(records));
     if (batch) return RenderTally(tally);
     if (retract) {

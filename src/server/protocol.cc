@@ -62,7 +62,6 @@ Status WriteAll(int fd, std::string_view data) {
 }
 
 bool LineReader::ReadLine(std::string* line) {
-  int idle_timeouts = 0;
   for (;;) {
     size_t nl = buf_.find('\n');
     if (nl != std::string::npos) {
@@ -75,18 +74,9 @@ bool LineReader::ReadLine(std::string* line) {
     ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n < 0) {
       if (errno == EINTR) continue;  // signal, not a peer problem
-      // A receive timeout (SO_RCVTIMEO) mid-line is retryable: the
-      // peer may just be writing slowly. Only consecutive timeouts
-      // with zero progress count against the budget.
-      if ((errno == EAGAIN || errno == EWOULDBLOCK) &&
-          idle_timeouts < max_idle_timeouts_) {
-        ++idle_timeouts;
-        continue;
-      }
       return false;
     }
     if (n == 0) return false;  // EOF
-    idle_timeouts = 0;
     buf_.append(chunk, static_cast<size_t>(n));
   }
 }

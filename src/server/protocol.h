@@ -93,21 +93,13 @@ class LineReader {
  public:
   explicit LineReader(int fd) : fd_(fd) {}
 
-  // Tolerate up to `n` consecutive receive timeouts (EAGAIN /
-  // EWOULDBLOCK under SO_RCVTIMEO) before ReadLine gives up; every
-  // received byte resets the count, so a slow writer that keeps
-  // trickling data never trips it. 0 (the default) fails on the first
-  // timeout.
-  void set_max_idle_timeouts(int n) { max_idle_timeouts_ = n; }
-
   // Reads one line, stripping the trailing \n (and \r\n). Returns false
-  // on EOF or error with nothing buffered. EINTR is always retried;
-  // timeouts are retried per set_max_idle_timeouts.
+  // on EOF or error (a receive timeout included) with nothing buffered.
+  // EINTR is always retried.
   bool ReadLine(std::string* line);
 
  private:
   int fd_;
-  int max_idle_timeouts_ = 0;
   std::string buf_;
 };
 

@@ -145,9 +145,9 @@ void LsdServer::ReactorLoop() {
     int timeout_ms = -1;
     if (shutdown_started.has_value()) {
       timeout_ms = 10;
-    } else if (options_.io_timeout.count() > 0) {
+    } else if (options_.idle_timeout.count() > 0) {
       timeout_ms = static_cast<int>(std::min<int64_t>(
-          50, std::max<int64_t>(1, options_.io_timeout.count())));
+          50, std::max<int64_t>(1, options_.idle_timeout.count())));
     }
     int n = ::epoll_wait(epoll_fd_, events.data(),
                          static_cast<int>(events.size()), timeout_ms);
@@ -556,12 +556,11 @@ void LsdServer::ResumePaused() {
 }
 
 void LsdServer::IdleSweep() {
-  if (options_.io_timeout.count() <= 0 || shutting_down_.load()) return;
-  const auto budget = options_.io_timeout * (options_.io_retries + 1);
+  if (options_.idle_timeout.count() <= 0 || shutting_down_.load()) return;
   const auto now = Clock::now();
   std::vector<ConnPtr> idle;
   for (auto& [fd, conn] : conns_) {
-    if (now - conn->last_read <= budget) continue;
+    if (now - conn->last_read <= options_.idle_timeout) continue;
     bool busy;
     {
       std::lock_guard<std::mutex> lock(conn->mu);

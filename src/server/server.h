@@ -71,21 +71,14 @@ struct ServerOptions {
   // shed with a typed error; cheap probes keep flowing.
   uint64_t shed_cost_threshold = 1 << 16;
   // Idle receive budget: a connection that sends no bytes for
-  // io_timeout * (io_retries + 1) while nothing of its is queued or
-  // executing is declared dead and closed. 0 disables. (The two-knob
-  // shape is kept from the blocking front end: io_timeout is the poll
-  // granularity, io_retries the zero-progress tolerance; any received
-  // byte resets the budget.)
-  //
-  // Default 15s * (4+1) = 75s idle allowance. Non-zero by default
-  // because an idle-connection flood would otherwise hold all
-  // max_sessions admission slots forever; the trade-off is that a
-  // genuinely quiet interactive browser is disconnected after ~75
-  // silent seconds and must reconnect (lsd_client retries transparently
-  // but loses session-local state: trail, hypotheticals, limit). Deploy
-  // with 0 only behind a front end that polices idleness itself.
-  std::chrono::milliseconds io_timeout{15'000};
-  int io_retries = 4;
+  // idle_timeout while nothing of its is queued or executing is declared
+  // dead and closed. 0 disables. Non-zero by default because an
+  // idle-connection flood would otherwise hold all max_sessions
+  // admission slots forever; a quiet interactive browser is disconnected
+  // after 75 silent seconds and must reconnect (lsd_client retries
+  // transparently but loses session-local state: trail, hypotheticals,
+  // limit). Deploy with 0 only behind a front end that polices idleness.
+  std::chrono::milliseconds idle_timeout{75'000};
   // Worker pool size; 0 means hardware_concurrency (min 1).
   size_t worker_threads = 0;
   // Bounded global pending-request queue: requests parsed but not yet

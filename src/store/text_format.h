@@ -8,9 +8,16 @@
 //   rule r2: (?S, ?R, ?T), (?S2, ISA, ?S) => (?S2, ?R, ?T)
 //       where ?R individual
 //
-// Entity names are case-normalized; '?' introduces a variable (valid in
-// rules only). The paper's unicode relation symbols (≺ ∈ ≈ ↔ ⊥ ≠ ≤ ≥)
-// are accepted as aliases for ISA/IN/SYN/INV/CONTRA//=/<=/>=.
+// Fact lines, rules and definitions are read by the one template parser
+// (query/parser.h): a position is its text between '(', ',' and ')',
+// trimmed — a lone '*' is an anonymous variable and a text that begins
+// with '?' a variable (both in rules only); any other text is one
+// entity name, inner spaces and keywords included. Names are
+// case-normalized, and the paper's unicode relation symbols
+// (≺ ∈ ≈ ↔ ⊥ ≠ ≤ ≥) are accepted as aliases for
+// ISA/IN/SYN/INV/CONTRA//=/<=/>=. This file dispatches lines and
+// renders; rule texts it renders are what snapshots and WAL rule
+// records store.
 #ifndef LSD_STORE_TEXT_FORMAT_H_
 #define LSD_STORE_TEXT_FORMAT_H_
 
@@ -25,11 +32,6 @@
 
 namespace lsd {
 
-// Parses one rule line (without the leading "rule"/"integrity" keyword
-// handled by ParseText; this accepts "name: body => head [where ...]").
-StatusOr<Rule> ParseRuleLine(std::string_view line, RuleKind kind,
-                             EntityTable* entities);
-
 // Parses a whole .lsd document, interning every name into `entities`.
 // Facts and @class marks (as their (R, IN, CLASS-REL) facts) are
 // appended to `facts` and asserted nowhere, so the caller routes them
@@ -41,20 +43,19 @@ Status ParseText(std::string_view text, EntityTable* entities,
                  std::vector<Fact>* facts, std::vector<Rule>* rules,
                  DefinitionRegistry* definitions = nullptr);
 
-// Reads and parses a .lsd file.
-Status LoadTextFile(const std::string& path, EntityTable* entities,
-                    std::vector<Fact>* facts, std::vector<Rule>* rules,
-                    DefinitionRegistry* definitions = nullptr);
+// Reads a .lsd file's text.
+StatusOr<std::string> ReadTextFile(const std::string& path);
 
 // Renders all asserted facts, one per line, in SRT order.
 std::string SerializeFacts(const FactStore& store);
 
-// Renders a rule in the syntax ParseRuleLine accepts (including the
+// Renders a rule in the syntax ParseText accepts (including the
 // leading "rule name:" / "integrity name:" keyword).
 std::string SerializeRule(const Rule& rule, const EntityTable& entities);
 
 // Parses what SerializeRule renders, as snapshots and WAL rule records
-// store it: the keyword picks the rule's kind.
+// store it, and a .lsd rule line: the keyword (any case) picks the
+// rule's kind.
 StatusOr<Rule> ParseSerializedRule(std::string_view text,
                                    EntityTable* entities);
 

@@ -1,7 +1,6 @@
 // Robustness fuzzing: random byte soup and mutated valid inputs must
 // never crash the parsers, the WAL/snapshot readers or the mutation
 // record codec — they either parse or return a clean Status.
-#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <iterator>
@@ -16,7 +15,6 @@
 #include "store/text_format.h"
 #include "util/crc32c.h"
 #include "util/random.h"
-#include "util/string_util.h"
 
 namespace lsd {
 namespace {
@@ -205,20 +203,15 @@ std::string FrameRecord(const std::string& payload) {
   return out + payload;
 }
 
-// Whether the text verbs can spell `name` as one entity token: not
-// empty once normalized, no delimiter, not a keyword.
+// Whether the text verbs can spell `name` as one template position: not
+// empty once normalized, no '(', ')', ',' or line break, not a lone '*'
+// and not a '?NAME'. Inner spaces and keywords are spellable.
 bool SpellableName(const std::string& name) {
   const std::string normalized = EntityTable::Normalize(name);
-  if (normalized.empty()) return false;
-  for (char c : normalized) {
-    if (std::isspace(static_cast<unsigned char>(c)) ||
-        std::string_view("(),*?").find(c) != std::string_view::npos) {
-      return false;
-    }
+  if (normalized.empty() || normalized == "*" || normalized[0] == '?') {
+    return false;
   }
-  const std::string lower = AsciiToLower(normalized);
-  return lower != "and" && lower != "or" && lower != "exists" &&
-         lower != "forall";
+  return normalized.find_first_of("(),\n\r") == std::string::npos;
 }
 
 // A record payload (what follows [len][crc]): random bytes, or a
@@ -340,6 +333,60 @@ TEST_P(FuzzTest, MutationRecordsDecodeOrErrorCleanly) {
     EXPECT_EQ(again_stats.records_replayed, stats.records_replayed);
   }
   std::remove(segment.c_str());
+}
+
+// Random sequences of the grammar's own pieces: separators, keywords,
+// variables and names with spaces, '*' and line breaks.
+std::string RandomStatement(Rng& rng, size_t max_pieces) {
+  static const char* const kPieces[] = {
+      "(",      ")",       ",",        " ",      "?X",     "?",
+      "*",      " and ",   " OR ",     "exists", "forall", " where ",
+      "=>",     ":=",      ":",        "JOHN",   "A SMITH", "A*B",
+      "≺",      "\n",      "individual", "class", "f(",     "rule r:",
+      "(A, B, C)", "(?X, *, ?Y)", "#",   "@class"};
+  std::string out;
+  for (size_t i = 0, n = rng.Uniform(max_pieces + 1); i < n; ++i) {
+    out += kPieces[rng.Uniform(std::size(kPieces))];
+  }
+  return out;
+}
+
+// Every entry point of the one template grammar — each parse, the
+// definition registry, and the interpreter's verbs — returns a Status
+// on any input, and a rejected mutation verb commits nothing.
+TEST_P(FuzzTest, EveryGrammarEntryPointReturnsAStatus) {
+  Rng rng(GetParam() + 6000);
+  static const char* const kVerbs[] = {
+      "query ",  "probe ",    "call ",      "define ",  "rule ",
+      "integrity ", "assert ", "retract ", "assert* ", "retract* ",
+      "hypo assert ", "hypo retract "};
+  SharedStore store;
+  ServerSession session(1, &store);
+  for (int i = 0; i < 200; ++i) {
+    const std::string input = rng.Bernoulli(0.3) ? RandomBytes(rng, 60)
+                                                 : RandomStatement(rng, 12);
+    EntityTable entities;
+    (void)ParseQueryNames(input);
+    (void)ParseQuery(input, &entities);
+    (void)ParseRule(input, RuleKind::kInference, &entities);
+    (void)ParseSerializedRule(input, &entities);
+    (void)ParseDefinition(input);
+    (void)ParseCallNames(input);
+    (void)ParseFacts(input);
+    DefinitionRegistry definitions;
+    (void)definitions.Define(input, &entities);
+    (void)definitions.ParseCall(input, &entities);
+
+    const std::string verb = kVerbs[rng.Uniform(std::size(kVerbs))];
+    const EpochPtr before = store.snapshot();
+    const size_t names = before->db().entities().size();
+    auto out = session.Execute(verb + input);
+    if (!out.ok() && verb.find("assert") != std::string::npos) {
+      EXPECT_EQ(store.snapshot(), before) << verb << input;
+      EXPECT_EQ(store.snapshot()->db().entities().size(), names)
+          << verb << input;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest,

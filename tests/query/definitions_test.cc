@@ -127,6 +127,24 @@ TEST_F(DefinitionsTest, DefinitionsLoadFromLsdText) {
   EXPECT_EQ(r->rows.size(), 4u);
 }
 
+// Arguments and bodies are template positions: a spaced name is one
+// entity, in a definition's body as in a call's argument.
+TEST_F(DefinitionsTest, CallWithSpacedArgument) {
+  ASSERT_TRUE(db_.LoadText("(JOHN SMITH, LIKES, GRAND OPERA)\n"
+                           "(MARY, LIKES, OPERA)\n")
+                  .ok());
+  ASSERT_TRUE(
+      db_.DefineOperator("opera-lover(?X) := (?X, LIKES, GRAND OPERA)").ok());
+  auto r = db_.Call("opera-lover(JOHN SMITH)");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r->is_proposition);
+  EXPECT_TRUE(r->truth);
+  auto who = db_.Call("opera-lover( ?WHO )");
+  ASSERT_TRUE(who.ok()) << who.status().ToString();
+  EXPECT_EQ(Column(*who), (std::set<std::string>{"JOHN SMITH"}));
+  EXPECT_TRUE(db_.Call("opera-lover(JOHN SMITH) junk").status().IsParseError());
+}
+
 TEST_F(DefinitionsTest, SameVariableForTwoParams) {
   ASSERT_TRUE(db_.DefineOperator(
                     "related(?X, ?Y) := (?X, CITES, ?Y)")

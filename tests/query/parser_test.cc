@@ -114,5 +114,92 @@ TEST_F(ParserTest, UnicodeRelationsInQueries) {
   EXPECT_EQ(q.root()->atom.relationship.entity(), kEntIn);
 }
 
+// A position is its whole trimmed text: inner spaces, '*', '?' and
+// keywords belong to the name, as they do in .lsd files.
+TEST_F(ParserTest, PositionsAreWholeNames) {
+  Query q = Parse("( John Smith ,A*B,  and ) and (WHAT?, OR, exists)");
+  EXPECT_EQ(q.DebugString(entities_),
+            "(JOHN SMITH, A*B, AND) and (WHAT?, OR, EXISTS)");
+}
+
+TEST_F(ParserTest, TrailingTextIsAnError) {
+  EXPECT_TRUE(ParseQuery("(A, B, C) junk", &entities_).status().IsParseError());
+  EXPECT_TRUE(ParseQuery("(A, B, C))", &entities_).status().IsParseError());
+  EXPECT_TRUE(
+      ParseQuery("(A, (B), C)", &entities_).status().IsParseError());
+}
+
+// The variables a user names never merge with the anonymous ones.
+TEST_F(ParserTest, AnonymousVariablesSkipTypedNames) {
+  Query q = Parse("(*, ?_1, ?X)");
+  const Template& t = q.root()->atom;
+  EXPECT_NE(t.source.var(), t.relationship.var());
+  EXPECT_EQ(q.DebugString(entities_), "(?_2, ?_1, ?X)");
+}
+
+// A malformed query interns nothing.
+TEST_F(ParserTest, RejectedQueryInternsNothing) {
+  const size_t before = entities_.size();
+  EXPECT_FALSE(ParseQuery("(NEWNAME, R, ?X) and (", &entities_).ok());
+  EXPECT_EQ(entities_.size(), before);
+}
+
+TEST(RuleParserTest, HeadMayNameNowhere) {
+  EntityTable entities;
+  auto rule = ParseRule("r1: (?X, IN, A) => (?X, GOES, NOWHERE)",
+                        RuleKind::kInference, &entities);
+  ASSERT_TRUE(rule.ok()) << rule.status().ToString();
+  EXPECT_EQ(rule->head[0].target.entity(), entities.Lookup("NOWHERE"));
+}
+
+TEST(RuleParserTest, SeparatorsCountOnlyBetweenTemplates) {
+  EntityTable entities;
+  auto rule = ParseRule(
+      "r2: (?R, WHERE, A=>B), (AND, ?R, SOMEWHERE) => (?R, X:=Y, OR) "
+      "where ?R individual",
+      RuleKind::kInference, &entities);
+  ASSERT_TRUE(rule.ok()) << rule.status().ToString();
+  EXPECT_EQ(rule->body.size(), 2u);
+  EXPECT_EQ(rule->var_constraints[0], VarConstraint::kIndividualRelationship);
+  EXPECT_EQ(rule->DebugString(entities),
+            "(?R, WHERE, A=>B), (AND, ?R, SOMEWHERE) => (?R, X:=Y, OR)");
+}
+
+TEST(RuleParserTest, LoneStarIsAnAnonymousVariable) {
+  EntityTable entities;
+  auto rule = ParseRule("r5: (?X, *, Y1) => (?X, TOUCHES, Y1)",
+                        RuleKind::kInference, &entities);
+  ASSERT_TRUE(rule.ok()) << rule.status().ToString();
+  EXPECT_TRUE(rule->body[0].relationship.is_variable());
+  EXPECT_FALSE(entities.Lookup("*").has_value());
+  // In a head it would be a variable the body does not bind.
+  EXPECT_FALSE(ParseRule("r6: (?X, R, Y1) => (?X, *, Y1)",
+                         RuleKind::kInference, &entities)
+                   .ok());
+}
+
+TEST(RuleParserTest, TextBetweenTemplatesIsAnError) {
+  EntityTable entities;
+  EXPECT_TRUE(ParseRule("r: (?X, R, A) junk (?X, S, B) => (?X, T, C)",
+                        RuleKind::kInference, &entities)
+                  .status()
+                  .IsParseError());
+  EXPECT_TRUE(ParseRule("r: (?X, R, A) => (?X, T, C) where ?X individual x",
+                        RuleKind::kInference, &entities)
+                  .status()
+                  .IsParseError());
+}
+
+TEST(FactParserTest, FactsHoldNoVariable) {
+  auto facts = ParseFacts("(JOHN SMITH, LIKES, OPERA), (AND, ISA, A*B)");
+  ASSERT_TRUE(facts.ok()) << facts.status().ToString();
+  EXPECT_EQ(*facts, (std::vector<FactNames>{{"JOHN SMITH", "LIKES", "OPERA"},
+                                            {"AND", "ISA", "A*B"}}));
+  EXPECT_FALSE(ParseFacts("(A, *, B)").ok());
+  EXPECT_FALSE(ParseFacts("(A, ?X, B)").ok());
+  EXPECT_FALSE(ParseFacts("(A, B, C) junk (D, E, F)").ok());
+  EXPECT_FALSE(ParseFacts("(A\nB, R, C)").ok());
+}
+
 }  // namespace
 }  // namespace lsd

@@ -118,16 +118,15 @@ TEST_F(EventLoopTest, ShutdownDrainsInFlightPipelinedRequests) {
 
 TEST_F(EventLoopTest, IdleConnectionsAreSwept) {
   ServerOptions options;
-  options.io_timeout = std::chrono::milliseconds(30);
-  options.io_retries = 1;
+  options.idle_timeout = std::chrono::milliseconds(60);
   StartServer(options);
 
   TextClient client(server_->port());
   ASSERT_TRUE(client.connected());
   ASSERT_TRUE(client.Greeting().ok());
   ASSERT_TRUE(client.Send("ping")->ok);
-  // Past the idle budget (io_timeout * (io_retries + 1)), the server
-  // hangs up on its own.
+  // Past the idle budget (idle_timeout), the server hangs up on its
+  // own.
   auto reply = client.Read();
   EXPECT_FALSE(reply.ok());
 }

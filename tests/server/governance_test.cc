@@ -230,6 +230,70 @@ TEST(GovernanceShedTest, DegradedShedsExpensiveKeepsCheap) {
       << governed.status().ToString();
 }
 
+// Pricing reads the names of a request and interns none: a shed query
+// naming a new entity leaves the table every epoch shares unchanged.
+TEST(GovernanceShedTest, PricingInternsNothing) {
+  SharedStore store;
+  SeedCampus(&store);
+  SeedPoisonGraph(&store, /*layer=*/64);
+  SessionRegistry registry(&store);
+  GovernanceState governance;
+  governance.shed_cost_threshold = 1 << 16;
+  registry.set_governance(&governance);
+  auto session = registry.Create(8);
+  ASSERT_NE(session, nullptr);
+  governance.degraded.store(true);
+  const size_t names = store.snapshot()->db().entities().size();
+  auto shed = session->Execute(
+      "query ((?A, FEEDS, ?B) and (?B, FEEDS, ?C) and (?C, FEEDS, ?D)) or "
+      "((?A, QQNEW, ?B) and (?B, QQNEW, ?C) and (?C, QQNEW, ?D))");
+  ASSERT_FALSE(shed.ok());
+  EXPECT_NE(shed.status().ToString().find("shed"), std::string::npos)
+      << shed.status().ToString();
+  EXPECT_EQ(store.snapshot()->db().entities().size(), names);
+}
+
+// The walks are priced by the fan they walk, not at a full closure
+// scan (past the threshold here: 2 × 192² FEEDS facts): a short assoc,
+// near and dist run under DEGRADED; an assoc joining a hub's out-links
+// to a sink's in-links (300 × 300) is shed.
+TEST(GovernanceShedTest, WalksArePricedByTheirFan) {
+  SharedStore store;
+  SeedCampus(&store);
+  SeedPoisonGraph(&store);
+  ASSERT_TRUE(store
+                  .Commit([](LooseDb& db) {
+                    for (int i = 0; i < 300; ++i) {
+                      const std::string n = std::to_string(i);
+                      db.Assert("HUB", "LINKS", "L" + n);
+                      db.Assert("M" + n, "LINKS", "SINK");
+                    }
+                    return Status::OK();
+                  })
+                  .ok());
+  SessionRegistry registry(&store);
+  GovernanceState governance;
+  governance.shed_cost_threshold = 1 << 16;
+  registry.set_governance(&governance);
+  auto session = registry.Create(8);
+  ASSERT_NE(session, nullptr);
+  governance.degraded.store(true);
+
+  auto cheap = session->Execute("assoc TOM HARRY");
+  ASSERT_TRUE(cheap.ok()) << cheap.status().ToString();
+  EXPECT_NE(cheap->find("ENROLLED-IN.CS100.TAUGHT-BY"), std::string::npos)
+      << *cheap;
+  EXPECT_TRUE(session->Execute("near TOM 2").ok());
+  EXPECT_TRUE(session->Execute("dist TOM HARRY").ok());
+  EXPECT_EQ(governance.cancelled_shed.load(), 0u);
+
+  auto hub = session->Execute("assoc HUB SINK");
+  ASSERT_FALSE(hub.ok());
+  EXPECT_NE(hub.status().ToString().find("shed"), std::string::npos)
+      << hub.status().ToString();
+  EXPECT_EQ(governance.cancelled_shed.load(), 1u);
+}
+
 // ExecuteRequest is the governed-request sequence every front end runs
 // (the server's worker, the shell under `timeout N`): it charges the
 // budget's steps to the session and counts a failure as a cancellation
@@ -577,11 +641,11 @@ TEST_F(GovernanceTest, PoisonQueriesDoNotStarveCheapProbes) {
       << "us, hostile p50 " << hostile_p50_us << "us";
 }
 
-// Satellite: io_timeout ships with a sane non-zero default so a silent
-// peer cannot pin a connection forever.
+// idle_timeout ships with a sane non-zero default so a silent peer
+// cannot pin a connection forever.
 TEST(GovernanceDefaultsTest, IoTimeoutDefaultsNonZero) {
   ServerOptions options;
-  EXPECT_GT(options.io_timeout.count(), 0);
+  EXPECT_GT(options.idle_timeout.count(), 0);
   EXPECT_GT(options.request_timeout.count(), 0);
 }
 

@@ -505,8 +505,8 @@ TEST_F(ProtocolTortureTest, MalformedMutationBatchIsRejectedWhole) {
        good + FactRecords(WalOpCode::kRetract, {{"A", " ", "B"}})},
       {"delimiter in a name",
        good + FactRecords(WalOpCode::kAssert, {{"A, B", "R", "C"}})},
-      {"keyword name", good + FactRecords(WalOpCode::kAssert,
-                                          {{"A", "and", "C"}})},
+      {"lone star name", good + FactRecords(WalOpCode::kAssert,
+                                            {{"A", "*", "C"}})},
   };
   BinaryClient client(server_->port());
   ASSERT_TRUE(client.connected());

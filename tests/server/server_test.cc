@@ -214,21 +214,19 @@ TEST_F(ServerTest, HypotheticalsStaySessionLocalOverTheWire) {
 }
 
 // A client that dribbles its request line out in chunks slower than the
-// socket timeout must still be served: SO_RCVTIMEO wakeups with zero
-// progress are retried up to io_retries times, and any received byte
-// resets the budget.
+// reactor's poll must still be served: any received byte resets the
+// idle budget.
 TEST_F(ServerTest, SlowWriterIsServedWithinRetryBudget) {
   ServerOptions options;
-  options.io_timeout = std::chrono::milliseconds(50);
-  options.io_retries = 4;
+  options.idle_timeout = std::chrono::milliseconds(250);
   StartServer(options);
 
   TestClient client(server_->port());
   ASSERT_TRUE(client.connected());
   ASSERT_TRUE(client.Greeting().ok());
 
-  // Dribble "ping\n" one byte at a time, sleeping past io_timeout
-  // between bytes (but within io_timeout * (io_retries + 1)).
+  // Dribble "ping\n" one byte at a time, sleeping past the 50 ms poll
+  // between bytes (but within idle_timeout).
   const std::string request = "ping\n";
   for (char c : request) {
     ASSERT_TRUE(WriteAll(client.fd(), std::string(1, c)).ok());
@@ -240,11 +238,10 @@ TEST_F(ServerTest, SlowWriterIsServedWithinRetryBudget) {
   EXPECT_EQ(pong->payload, "pong\n");
 }
 
-// With no retry budget, the same dribble is declared a dead client.
+// Past the idle budget, the same dribble is declared a dead client.
 TEST_F(ServerTest, SlowWriterIsDroppedWithoutRetryBudget) {
   ServerOptions options;
-  options.io_timeout = std::chrono::milliseconds(30);
-  options.io_retries = 0;
+  options.idle_timeout = std::chrono::milliseconds(30);
   StartServer(options);
 
   TestClient client(server_->port());

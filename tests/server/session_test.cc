@@ -82,5 +82,25 @@ TEST_F(SessionTest, VisitedNeighborhoodMatchesNavigate) {
   EXPECT_EQ(visited->substr(visited->find('\n') + 1), *navigated);
 }
 
+// A batch is read whole: text between its templates rejects it before
+// anything commits, and a rejected batch interns nothing.
+TEST_F(SessionTest, BatchWithTextBetweenTemplatesCommitsNothing) {
+  const EpochPtr before = store_.snapshot();
+  const size_t names = before->db().entities().size();
+  auto out = session_.Execute("assert* (A1, B1, C1) junk (D1, E1, F1)");
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(store_.snapshot(), before);
+  EXPECT_EQ(store_.snapshot()->db().entities().size(), names);
+  EXPECT_EQ(Code("assert (A1, B1, C1) (D1, E1, F1)"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Code("retract* (A1, B1, C1),, (D1, E1, F1)"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store_.snapshot(), before);
+  auto batch = session_.Execute("assert* (A1, B1, C1), (D1, E1, F1)");
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(*batch, "added 2, present 0, removed 0, missing 0\n");
+}
+
 }  // namespace
 }  // namespace lsd

@@ -1,7 +1,10 @@
 // End-to-end smoke test of the interactive shell: drives lsd_shell via
 // a pipe and checks the rendered output.
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <string>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -97,6 +100,70 @@ TEST(ShellTest, SessionNavigationAndDot) {
 TEST(ShellTest, UnknownCommandIsReported) {
   std::string out = RunShell("frobnicate\\nquit\\n");
   EXPECT_NE(out.find("unknown command"), std::string::npos);
+}
+
+size_t Count(const std::string& haystack, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+// What a .lsd file can name, every verb can name: a spaced name, a
+// keyword and a name holding '*' load, query, retract and derive alike.
+TEST(ShellTest, LoadedNamesAreQueryableAndRetractable) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("lsd_shell_names_" + std::to_string(::getpid()) + ".lsd"))
+          .string();
+  {
+    std::ofstream out(path);
+    out << "(JOHN SMITH, LIKES, OPERA)\n(AND, ISA, CONJUNCTION)\n"
+           "(A*B, LIKES, OPERA)\n"
+           "rule fan: (?X, LIKES, OPERA) => (?X, IN, OPERA FAN)\n";
+  }
+  std::string out = RunShell(
+      "load " + path + "\\n" +
+      "query (JOHN SMITH, IN, ?X)\\n"
+      "query (AND, ISA, ?X)\\n"
+      "query (A*B, IN, ?X)\\n"
+      "retract (JOHN SMITH, LIKES, OPERA)\\n"
+      "retract (AND, ISA, CONJUNCTION)\\n"
+      "retract (A*B, LIKES, OPERA)\\n"
+      "query (?X, IN, OPERA FAN)\\n"
+      "quit\\n");
+  std::remove(path.c_str());
+  EXPECT_EQ(out.find("! "), std::string::npos) << out;
+  EXPECT_EQ(Count(out, "| OPERA FAN "), 2u) << out;
+  EXPECT_EQ(Count(out, "| CONJUNCTION |"), 1u) << out;
+  EXPECT_EQ(Count(out, "removed\n"), 3u) << out;
+  // The retracts took the derived memberships with them.
+  EXPECT_EQ(out.find("| JOHN SMITH"), std::string::npos) << out;
+}
+
+// A head naming NOWHERE is a head, not a where-clause; a lone '*' is the
+// same wildcard in a rule as in a query.
+TEST(ShellTest, RuleGrammarMatchesTheQueryGrammar) {
+  std::string out = RunShell(
+      "assert (X2, LINKS, Y1)\\n"
+      "assert (X2, IN, A)\\n"
+      "rule r1: (?X, IN, A) => (?X, GOES, NOWHERE)\\n"
+      "rule r5: (?X, *, Y1) => (?X, TOUCHES, Y1)\\n"
+      "query (X2, GOES, ?W)\\n"
+      "query (?X, TOUCHES, Y1)\\n"
+      "query (?X, *, Y1)\\n"
+      "rules\\n"
+      "quit\\n");
+  EXPECT_EQ(out.find("! "), std::string::npos) << out;
+  EXPECT_EQ(Count(out, "defined\n"), 2u) << out;
+  EXPECT_NE(out.find("| NOWHERE |"), std::string::npos) << out;
+  EXPECT_NE(out.find("| X2 |"), std::string::npos) << out;
+  EXPECT_NE(out.find("| X2 | TOUCHES |"), std::string::npos) << out;
+  EXPECT_NE(out.find("rule r5: (?X, ?_1, Y1) => (?X, TOUCHES, Y1)"),
+            std::string::npos)
+      << out;
 }
 
 }  // namespace

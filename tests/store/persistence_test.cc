@@ -306,6 +306,82 @@ TEST_F(PersistenceTest, WalReplayHandlesRulesAndToggles) {
   EXPECT_FALSE(replayed_rules[0].enabled);
 }
 
+// Rule texts as snapshots and WAL rule records have always stored them
+// (SerializeRule), with spaced, keyword and '*'-holding names, recover
+// through the one grammar to the same rules and the same listing.
+TEST_F(PersistenceTest, StoredRuleTextsRecoverToTheSameListing) {
+  const std::vector<std::string> texts = {
+      "rule spaced: (?X, LIKES, GRAND OPERA) => (?X, IN, OPERA FAN)",
+      "rule keywords: (?X, AND, ?Y), (WHERE, ?Y, EXISTS) => (?X, FORALL, OR)",
+      "integrity starred: (?X, A*B, ?Y), (?Y, IN, **) => (?X, /=, ?Y) "
+      "where ?X individual",
+  };
+  // The same rules, built without a parser.
+  FactStore store;
+  EntityTable& names = store.entities();
+  auto e = [&](const char* name) { return Term::Entity(names.Intern(name)); };
+  std::vector<Rule> built;
+  {
+    RuleBuilder b("spaced");
+    const Term x = b.Var("X");
+    b.Body(x, e("LIKES"), e("GRAND OPERA")).Head(x, e("IN"), e("OPERA FAN"));
+    built.push_back(std::move(b).Build());
+  }
+  {
+    RuleBuilder b("keywords");
+    const Term x = b.Var("X");
+    const Term y = b.Var("Y");
+    b.Body(x, e("AND"), y)
+        .Body(e("WHERE"), y, e("EXISTS"))
+        .Head(x, e("FORALL"), e("OR"));
+    built.push_back(std::move(b).Build());
+  }
+  {
+    RuleBuilder b("starred");
+    const Term x = b.Var("X", VarConstraint::kIndividualRelationship);
+    const Term y = b.Var("Y");
+    b.SetKind(RuleKind::kIntegrity)
+        .Body(x, e("A*B"), y)
+        .Body(y, e("IN"), e("**"))
+        .Head(x, e("/="), y);
+    built.push_back(std::move(b).Build());
+  }
+  for (size_t i = 0; i < texts.size(); ++i) {
+    ASSERT_EQ(SerializeRule(built[i], names), texts[i]);
+  }
+
+  std::vector<WalRecord> records;
+  for (const std::string& text : texts) {
+    records.push_back(
+        WalRecord{static_cast<uint8_t>(WalOpCode::kRule), {text}});
+  }
+  {
+    Wal wal;
+    ASSERT_TRUE(wal.Open(Path("compat.wal")).ok());
+    ASSERT_TRUE(wal.AppendBatch(records).ok());
+  }
+  ASSERT_TRUE(SaveSnapshot(Path("compat.snap"), store, built).ok());
+
+  FactStore replayed;
+  std::vector<Rule> from_wal;
+  ASSERT_TRUE(Wal::Replay(Path("compat.wal"), &replayed, &from_wal).ok());
+  FactStore loaded;
+  std::vector<Rule> from_snapshot;
+  ASSERT_TRUE(
+      LoadSnapshot(Path("compat.snap"), &loaded, &from_snapshot).ok());
+  ASSERT_EQ(from_wal.size(), texts.size());
+  ASSERT_EQ(from_snapshot.size(), texts.size());
+  for (size_t i = 0; i < texts.size(); ++i) {
+    EXPECT_EQ(SerializeRule(from_wal[i], replayed.entities()), texts[i]);
+    EXPECT_EQ(SerializeRule(from_snapshot[i], loaded.entities()), texts[i]);
+    EXPECT_EQ(from_snapshot[i].kind, built[i].kind);
+    EXPECT_EQ(from_snapshot[i].body, built[i].body);
+    EXPECT_EQ(from_snapshot[i].head, built[i].head);
+    EXPECT_EQ(from_snapshot[i].var_names, built[i].var_names);
+    EXPECT_EQ(from_snapshot[i].var_constraints, built[i].var_constraints);
+  }
+}
+
 TEST_F(PersistenceTest, MissingWalIsEmpty) {
   FactStore store;
   RecoveryStats stats;
