@@ -91,27 +91,22 @@ StatusOr<std::vector<Token>> Tokenize(std::string_view input) {
         continue;
       }
       case ')':
-        tokens.push_back({TokenKind::kRParen, ")", i++});
-        continue;
       case ',':
-        tokens.push_back({TokenKind::kComma, ",", i++});
+        tokens.push_back({c == ')' ? TokenKind::kRParen : TokenKind::kComma,
+                          std::string(1, c), i++});
         continue;
-      case '?': {
-        const size_t start = ++i;
-        while (i < input.size() && !IsDelimiter(input[i])) ++i;
-        if (i == start) {
-          return ErrorAt("'?' must be followed by a variable name", start - 1);
-        }
-        tokens.push_back({TokenKind::kVariable,
-                          std::string(input.substr(start, i - start)),
-                          start - 1});
-        continue;
-      }
       default: {
-        const size_t start = i;
+        // A word, or after '?' a variable's name.
+        const bool var = c == '?';
+        const size_t start = i + var;
+        i = start;
         while (i < input.size() && !IsDelimiter(input[i])) ++i;
         const std::string_view word = input.substr(start, i - start);
-        tokens.push_back({WordKind(word), std::string(word), start});
+        if (var && word.empty()) {
+          return ErrorAt("'?' must be followed by a variable name", start - 1);
+        }
+        tokens.push_back({var ? TokenKind::kVariable : WordKind(word),
+                          std::string(word), start - var});
         continue;
       }
     }

@@ -6,18 +6,15 @@
 //   author-of(?B, ?A) := (?B, IN, BOOK) and (?B, AUTHOR, ?A)
 //
 // A '(' whose next '(', ')' or ',' is not a '(' opens a position list:
-// each position is its text up to the next ',' or ')', trimmed. A lone
-// '*' is kStar, a text that begins with '?' is a kVariable named by the
-// rest, and any other text is one kEntity name — inner spaces, '*', '?'
-// and keywords included. An empty position yields no token; a position
-// may not hold a '(' or a line break.
-//
-// Between position lists the input splits at whitespace and at '(',
-// ')', ',' and '?'. There the words and, or, exists, forall, where
-// (case-insensitive), => and := are separators, '?NAME' is a variable
-// and any other word is a kEntity (a definition's name, a where-clause's
-// individual|class). So a keyword separates only between templates,
-// never inside a name.
+// each position is its text up to the next ',' or ')', trimmed — a lone
+// '*' is kStar, '?NAME' a kVariable, any other text one kEntity name
+// (inner spaces, '*', '?' and keywords included). An empty position
+// yields no token; a position may not hold a '(' or a line break.
+// Between position lists the input splits at whitespace, '(', ')', ','
+// and '?'; there and, or, exists, forall, where (any case), => and :=
+// are separators, '?NAME' a variable and any other word a kEntity (a
+// definition's name, a where-clause's individual|class). So a keyword
+// separates only between templates, never inside a name.
 #ifndef LSD_QUERY_LEXER_H_
 #define LSD_QUERY_LEXER_H_
 

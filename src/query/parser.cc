@@ -8,6 +8,11 @@ namespace lsd {
 
 namespace {
 
+// What a template's positions hold: names, variables and '*' (queries,
+// rule bodies); names and variables, '*' naming the entity '*' (rule
+// heads); or names only (facts).
+enum class Positions { kAny, kHead, kFact };
+
 class Parser {
  public:
   using NodeResult = StatusOr<std::unique_ptr<AstNode>>;
@@ -58,11 +63,11 @@ class Parser {
   }
 
   // template ([','] template)*
-  StatusOr<std::vector<Template>> ParseTemplates(bool ground) {
+  StatusOr<std::vector<Template>> ParseTemplates(Positions positions) {
     std::vector<Template> out;
     do {
       if (!out.empty()) Accept(TokenKind::kComma);
-      LSD_ASSIGN_OR_RETURN(Template t, ParseTemplate(ground));
+      LSD_ASSIGN_OR_RETURN(Template t, ParseTemplate(positions));
       out.push_back(t);
     } while (Peek().kind == TokenKind::kLParen ||
              Peek().kind == TokenKind::kComma);
@@ -187,11 +192,11 @@ class Parser {
       LSD_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "')'"));
       return inner;
     }
-    LSD_ASSIGN_OR_RETURN(Template atom, ParseTemplate(/*ground=*/false));
+    LSD_ASSIGN_OR_RETURN(Template atom, ParseTemplate(Positions::kAny));
     return AstNode::Atom(atom);
   }
 
-  StatusOr<Template> ParseTemplate(bool ground) {
+  StatusOr<Template> ParseTemplate(Positions positions) {
     LSD_RETURN_IF_ERROR(
         Expect(TokenKind::kLParen, "'(' to start a template"));
     Term terms[3];
@@ -199,23 +204,24 @@ class Parser {
       if (i > 0) {
         LSD_RETURN_IF_ERROR(Expect(TokenKind::kComma, "',' in template"));
       }
-      LSD_ASSIGN_OR_RETURN(terms[i], ParseTerm(ground));
+      LSD_ASSIGN_OR_RETURN(terms[i], ParseTerm(positions));
     }
     LSD_RETURN_IF_ERROR(
         Expect(TokenKind::kRParen, "')' to close template"));
     return Template(terms[0], terms[1], terms[2]);
   }
 
-  StatusOr<Term> ParseTerm(bool ground) {
+  StatusOr<Term> ParseTerm(Positions positions) {
     const TokenKind kind = Peek().kind;
-    if (kind == TokenKind::kEntity) {
+    if (kind == TokenKind::kEntity ||
+        (kind == TokenKind::kStar && positions == Positions::kHead)) {
       names_.push_back(std::move(Take().text));
       return Term::Entity(static_cast<EntityId>(names_.size() - 1));
     }
     if (kind != TokenKind::kVariable && kind != TokenKind::kStar) {
       return Error("expected a term (entity, ?var or *)");
     }
-    if (ground) return Error("a fact holds no variable");
+    if (positions == Positions::kFact) return Error("a fact holds no variable");
     const Token& tok = Take();
     return Term::Var(kind == TokenKind::kStar ? NewVar("")
                                               : InternVar(tok.text));
@@ -283,7 +289,7 @@ StatusOr<ParsedCall> ParseCallNames(std::string_view text) {
 
 StatusOr<std::vector<FactNames>> ParseFacts(std::string_view text) {
   LSD_ASSIGN_OR_RETURN(Parser parser, Start(text));
-  LSD_RETURN_IF_ERROR(parser.ParseTemplates(/*ground=*/true).status());
+  LSD_RETURN_IF_ERROR(parser.ParseTemplates(Positions::kFact).status());
   LSD_RETURN_IF_ERROR(parser.End());
   std::vector<std::string> names = parser.TakeNames();
   std::vector<FactNames> facts;
@@ -316,9 +322,9 @@ StatusOr<Rule> ParseRule(std::string_view text, RuleKind kind,
   rule.name = AsciiToLower(StripWhitespace(text.substr(0, colon)));
   if (rule.name.empty()) return Status::ParseError("rule has empty name");
   LSD_ASSIGN_OR_RETURN(Parser parser, Start(text.substr(colon + 1)));
-  LSD_ASSIGN_OR_RETURN(rule.body, parser.ParseTemplates(/*ground=*/false));
+  LSD_ASSIGN_OR_RETURN(rule.body, parser.ParseTemplates(Positions::kAny));
   LSD_RETURN_IF_ERROR(parser.Expect(TokenKind::kArrow, "'=>'"));
-  LSD_ASSIGN_OR_RETURN(rule.head, parser.ParseTemplates(/*ground=*/false));
+  LSD_ASSIGN_OR_RETURN(rule.head, parser.ParseTemplates(Positions::kHead));
   if (parser.Accept(TokenKind::kWhere)) {
     LSD_RETURN_IF_ERROR(parser.ParseWhere(&rule));
   }

@@ -19,13 +19,14 @@
 //
 // A statement must be consumed whole. '*' mints a fresh anonymous
 // variable per occurrence (the paper's navigation shorthand, Sec 4.1),
-// in rules as in queries. A rule's NAME is its text before the first
-// ':'.
+// in rule bodies as in queries; in a rule head, where nothing could
+// bind one, it is the entity '*', as stored rules have it. A rule's
+// NAME is its text before the first ':'.
 //
-// The parser returns names: an entity term of a parsed query indexes its
-// `names`, the positions' texts as written (trimmed, not normalized).
-// Queries, rules, definitions, calls and .lsd loads intern them; the
-// mutation verbs normalize them; shed pricing looks them up.
+// The parser returns names: a parsed query's entity terms index its
+// `names`, the positions' texts as written (trimmed, not normalized),
+// which queries, rules, definitions, calls and .lsd loads intern, the
+// mutation verbs normalize and shed pricing looks up.
 #ifndef LSD_QUERY_PARSER_H_
 #define LSD_QUERY_PARSER_H_
 

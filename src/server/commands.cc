@@ -34,9 +34,9 @@ namespace {
 // fact records of normalized names; a verb that is not batched takes
 // exactly one. It interns nothing: the names reach the shared entity
 // table only if an assert of them is applied.
-StatusOr<std::vector<WalRecord>> ParseFactRecords(WalOpCode op,
-                                                  std::string_view text,
-                                                  bool batch) {
+StatusOr<std::vector<WalRecord>> MutationRecords(WalOpCode op,
+                                                 std::string_view text,
+                                                 bool batch) {
   auto facts = ParseFacts(text);
   if (!facts.ok() || (!batch && facts->size() != 1)) {
     return Status::InvalidArgument(
@@ -63,15 +63,13 @@ std::string RenderFact(const WalRecord& record) {
 // empty name, a lone '*', a '?NAME' or a name holding '(', ')', ',' or
 // a line break does not.
 bool SpelledByTextVerbs(const WalRecord& record) {
-  auto parsed = ParseFactRecords(static_cast<WalOpCode>(record.op),
-                                 RenderFact(record), /*batch=*/false);
-  if (!parsed.ok()) return false;
-  for (size_t i = 0; i < record.fields.size(); ++i) {
-    if ((*parsed)[0].fields[i] != EntityTable::Normalize(record.fields[i])) {
-      return false;
-    }
+  auto parsed = MutationRecords(static_cast<WalOpCode>(record.op),
+                                RenderFact(record), /*batch=*/false);
+  std::vector<std::string> names;
+  for (const std::string& name : record.fields) {
+    names.push_back(EntityTable::Normalize(name));
   }
-  return true;
+  return parsed.ok() && (*parsed)[0].fields == names;
 }
 
 std::string RenderTally(const LooseDb::Tally& tally) {
@@ -137,22 +135,19 @@ uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
 }
 
 // Join-cost upper bound of a parsed formula against a closure, its
-// names resolved to `ids` by lookup: per-atom candidate estimates,
-// multiplied across conjunctions and summed across disjunctions
-// (shared-variable selectivity is ignored — this is a shed heuristic,
-// not a plan). A single bound probe prices at its handful of index
-// hits, an atom naming an unknown entity at zero (it matches nothing);
-// an unbound join saturates.
+// names resolved to `ids`: per-atom candidate estimates, multiplied
+// across conjunctions and summed across disjunctions (shared-variable
+// selectivity is ignored — this is a shed heuristic, not a plan). A
+// single bound probe prices at its handful of index hits; an unbound
+// join saturates.
 uint64_t EstimateFormula(const ClosureView& view, const AstNode* node,
-                         const std::vector<std::optional<EntityId>>& ids) {
+                         const std::vector<EntityId>& ids) {
   switch (node->kind) {
     case NodeKind::kAtom: {
       EntityId bound[3];
       for (int i = 0; i < 3; ++i) {
         const Term& term = node->atom.at(i);
-        const auto id = term.is_entity() ? ids[term.entity()] : kAnyEntity;
-        if (!id.has_value()) return 0;
-        bound[i] = *id;
+        bound[i] = term.is_entity() ? ids[term.entity()] : kAnyEntity;
       }
       return view.EstimateMatches(Pattern(bound[0], bound[1], bound[2]));
     }
@@ -177,6 +172,23 @@ uint64_t EstimateFormula(const ClosureView& view, const AstNode* node,
   return 0;
 }
 
+// A walk verb's operands, one word each, as its price and its run read
+// them: "assoc S T", "dist A B" (4 rings), "near E [RADIUS]" (2 if none).
+struct WalkArgs {
+  WalkArgs(const std::string& cmd, const std::string& rest) {
+    std::istringstream args(rest);
+    args >> a;
+    if (cmd != "near") {
+      args >> b;
+    } else {
+      radius = 2;
+      args >> radius;
+    }
+  }
+  std::string a, b;
+  int radius = 4;
+};
+
 }  // namespace
 
 // The shed-policy price of one request, in estimated candidate
@@ -184,14 +196,15 @@ uint64_t EstimateFormula(const ClosureView& view, const AstNode* node,
 // overlay — building the overlay can itself be the expensive part, and
 // a pending rebuild is priced in explicitly). Verbs we can see inside
 // (query/probe) are priced by the planner's per-atom estimates. The
-// walks are priced by the fan they walk, from their endpoints' degrees
-// (an unknown name prices at zero: the verb fails on it): assoc S T
-// joins S's first hops to T's last hops, out(S) × in(T); near E r
-// searches r rings around E, deg(E)^r; dist A B searches around A until
-// it meets B, two rings, deg(A)². Navigation prices at the entity's
-// degree; the other unbounded searches (check/dot/relation and operator
-// calls, whose expansion we do not pre-resolve) at one full closure
-// scan; control verbs and point mutations at zero.
+// walks are priced by the facts they scan (an unknown start prices at
+// zero: the verb fails on it): assoc S T scans S's out-facts and their
+// targets' out-facts, out(S) + Σ out(m), then makes one bounded lookup
+// per fact of that second hop; near and dist search `radius` rings
+// around their start E, deg(E)^radius, as if all in reach had E's
+// degree (a hub past the first ring is not priced). Navigation prices
+// at the entity's degree; the other unbounded searches (check/dot/
+// relation and operator calls) at one full closure scan; control verbs
+// and point mutations at zero.
 uint64_t ServerSession::EstimateCost(const std::string& cmd,
                                      const std::string& rest) {
   EpochPtr epoch = store_->snapshot();
@@ -214,37 +227,39 @@ uint64_t ServerSession::EstimateCost(const std::string& cmd,
     auto parsed = ParseQueryNames(rest);
     // A malformed query is cheap: Execute will reject it at parse time.
     if (!parsed.ok()) return cost;
-    std::vector<std::optional<EntityId>> ids;
-    ids.reserve(parsed->names.size());
+    // An unknown name prices as unbound, an upper bound: its atom may
+    // still match, as one comparing with a fresh number does.
+    std::vector<EntityId> ids;
     for (const std::string& name : parsed->names) {
-      ids.push_back(db.entities().Lookup(name));
+      ids.push_back(db.entities().Lookup(name).value_or(kAnyEntity));
     }
-    return SaturatingAdd(cost,
-                         EstimateFormula(v, parsed->query.root(), ids));
+    return SaturatingAdd(cost, EstimateFormula(v, parsed->query.root(), ids));
   }
-  // Facts naming `name` as source and/or target; 0 if it is unknown.
-  auto degree = [&](const std::string& name, bool out, bool in) -> uint64_t {
-    const auto id = db.entities().Lookup(name);
-    if (!id.has_value()) return 0;
+  // Facts naming `id` as source and/or target.
+  auto degree = [&](EntityId id, bool out, bool in) -> uint64_t {
     return SaturatingAdd(
-        out ? v.EstimateMatches(Pattern(*id, kAnyEntity, kAnyEntity)) : 0,
-        in ? v.EstimateMatches(Pattern(kAnyEntity, kAnyEntity, *id)) : 0);
+        out ? v.EstimateMatches(Pattern(id, kAnyEntity, kAnyEntity)) : 0,
+        in ? v.EstimateMatches(Pattern(kAnyEntity, kAnyEntity, id)) : 0);
   };
   if (cmd == "assoc" || cmd == "near" || cmd == "dist") {
-    std::istringstream args(rest);
-    std::string a, b;
-    int rings = 2;
-    args >> a;
-    if (cmd == "near") args >> rings;
-    args >> b;
-    if (cmd == "assoc") {
-      return SaturatingAdd(cost, SaturatingMul(degree(a, true, false),
-                                               degree(b, false, true)));
-    }
-    // deg^rings, saturating (a degree past 1 saturates within 64).
-    const uint64_t deg = degree(a, true, true);
+    const WalkArgs walk(cmd, rest);
+    const auto a = db.entities().Lookup(walk.a);
+    if (!a.has_value()) return cost;
     uint64_t fan = 1;
-    for (int i = 0; i < std::min(rings, 64); ++i) fan = SaturatingMul(fan, deg);
+    if (cmd != "assoc") {
+      // Saturating: a degree past 1 saturates within 64 rings.
+      const uint64_t deg = degree(*a, true, true);
+      for (int i = 0; i < std::min(walk.radius, 64); ++i) {
+        fan = SaturatingMul(fan, deg);
+      }
+      return SaturatingAdd(cost, fan);
+    }
+    // The sum stops once it passes the shed threshold, which decides.
+    fan = degree(*a, true, false);
+    v.ForEach(Pattern(*a, kAnyEntity, kAnyEntity), [&](const Fact& f) {
+      fan = SaturatingAdd(fan, degree(f.target, true, false));
+      return fan <= governance_->shed_cost_threshold;
+    });
     return SaturatingAdd(cost, fan);
   }
   if (cmd == "call" || cmd == "check" || cmd == "dot" || cmd == "relation") {
@@ -255,7 +270,9 @@ uint64_t ServerSession::EstimateCost(const std::string& cmd,
         cmd == "nav" || cmd == "visit"
             ? rest
             : (trail_.empty() ? std::string() : trail_[trail_pos_]);
-    return SaturatingAdd(cost, degree(entity, true, true));
+    const auto id = db.entities().Lookup(entity);
+    if (!id.has_value()) return cost;
+    return SaturatingAdd(cost, degree(*id, true, true));
   }
   return cost;
 }
@@ -363,8 +380,8 @@ StatusOr<std::string> ServerSession::ExecuteHypo(std::string_view rest) {
   const bool retract = sub == "retract";
   LSD_ASSIGN_OR_RETURN(
       std::vector<WalRecord> records,
-      ParseFactRecords(retract ? WalOpCode::kRetract : WalOpCode::kAssert,
-                       arg, /*batch=*/false));
+      MutationRecords(retract ? WalOpCode::kRetract : WalOpCode::kAssert,
+                      arg, /*batch=*/false));
   WalRecord& named = records[0];
   if (retract) {
     EpochPtr epoch = store_->snapshot();
@@ -670,7 +687,7 @@ StatusOr<std::string> ServerSession::Execute(std::string_view line) {
     const bool retract = cmd[0] == 'r';
     const WalOpCode op = retract ? WalOpCode::kRetract : WalOpCode::kAssert;
     LSD_ASSIGN_OR_RETURN(std::vector<WalRecord> records,
-                         ParseFactRecords(op, rest, batch));
+                         MutationRecords(op, rest, batch));
     LSD_ASSIGN_OR_RETURN(LooseDb::Tally tally, CommitRecords(records));
     if (batch) return RenderTally(tally);
     if (retract) {
@@ -750,14 +767,12 @@ StatusOr<std::string> ServerSession::Execute(std::string_view line) {
   if (cmd == "back") return ExecuteBackForward(/*back=*/true);
   if (cmd == "forward") return ExecuteBackForward(/*back=*/false);
   if (cmd == "assoc") {
-    std::istringstream args(rest);
-    std::string s, t;
-    args >> s >> t;
-    auto sid = db.entities().Lookup(s);
-    auto tid = db.entities().Lookup(t);
+    const WalkArgs walk(cmd, rest);
+    auto sid = db.entities().Lookup(walk.a);
+    auto tid = db.entities().Lookup(walk.b);
     if (!sid.has_value() || !tid.has_value()) {
       return Status::NotFound("unknown entity: " +
-                              (sid.has_value() ? t : s));
+                              (sid.has_value() ? walk.b : walk.a));
     }
     LSD_ASSIGN_OR_RETURN(const ClosureView* view, db.View());
     Navigator navigator(view, &db.entities());
@@ -773,12 +788,9 @@ StatusOr<std::string> ServerSession::Execute(std::string_view line) {
     return db.Try(rest);
   }
   if (cmd == "near") {
-    std::istringstream args(rest);
-    std::string entity;
-    int radius = 2;
-    args >> entity >> radius;
+    const WalkArgs walk(cmd, rest);
     LSD_ASSIGN_OR_RETURN(std::vector<NearbyEntity> nearby,
-                         db.Nearby(entity, radius, budget_));
+                         db.Nearby(walk.a, walk.radius, budget_));
     std::string out;
     for (const NearbyEntity& n : nearby) {
       out += "  " + std::to_string(n.distance) + "  " +
@@ -787,11 +799,9 @@ StatusOr<std::string> ServerSession::Execute(std::string_view line) {
     return out;
   }
   if (cmd == "dist") {
-    std::istringstream args(rest);
-    std::string a, b;
-    args >> a >> b;
+    const WalkArgs walk(cmd, rest);
     LSD_ASSIGN_OR_RETURN(std::optional<int> d,
-                         db.SemanticDistance(a, b, /*max_radius=*/4,
+                         db.SemanticDistance(walk.a, walk.b, walk.radius,
                                              budget_));
     if (d.has_value()) {
       return "semantic distance " + std::to_string(*d) + "\n";

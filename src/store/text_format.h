@@ -10,11 +10,11 @@
 //
 // Fact lines, rules and definitions are read by the one template parser
 // (query/parser.h): a position is its text between '(', ',' and ')',
-// trimmed — a lone '*' is an anonymous variable and a text that begins
-// with '?' a variable (both in rules only); any other text is one
-// entity name, inner spaces and keywords included. Names are
-// case-normalized, and the paper's unicode relation symbols
-// (≺ ∈ ≈ ↔ ⊥ ≠ ≤ ≥) are accepted as aliases for
+// trimmed — a text that begins with '?' is a variable and a lone '*'
+// an anonymous one (both in rules only; in a rule head a lone '*' is
+// the entity '*'); any other text is one entity name, inner spaces and
+// keywords included. Names are case-normalized, and the paper's unicode
+// relation symbols (≺ ∈ ≈ ↔ ⊥ ≠ ≤ ≥) are accepted as aliases for
 // ISA/IN/SYN/INV/CONTRA//=/<=/>=. This file dispatches lines and
 // renders; rule texts it renders are what snapshots and WAL rule
 // records store.

@@ -172,10 +172,19 @@ TEST(RuleParserTest, LoneStarIsAnAnonymousVariable) {
   ASSERT_TRUE(rule.ok()) << rule.status().ToString();
   EXPECT_TRUE(rule->body[0].relationship.is_variable());
   EXPECT_FALSE(entities.Lookup("*").has_value());
-  // In a head it would be a variable the body does not bind.
-  EXPECT_FALSE(ParseRule("r6: (?X, R, Y1) => (?X, *, Y1)",
-                         RuleKind::kInference, &entities)
-                   .ok());
+}
+
+// Nothing could bind an anonymous variable in a head, so there a lone
+// '*' is the entity '*', as rules stored by earlier builds read it.
+TEST(RuleParserTest, LoneStarInAHeadIsTheEntityStar) {
+  EntityTable entities;
+  auto rule = ParseRule("r6: (?X, LINKS, ?Y) => (?X, *, ?Y)",
+                        RuleKind::kInference, &entities);
+  ASSERT_TRUE(rule.ok()) << rule.status().ToString();
+  ASSERT_TRUE(rule->head[0].relationship.is_entity());
+  EXPECT_EQ(rule->head[0].relationship.entity(), entities.Lookup("*"));
+  EXPECT_EQ(rule->var_names, (std::vector<std::string>{"X", "Y"}));
+  EXPECT_EQ(rule->DebugString(entities), "(?X, LINKS, ?Y) => (?X, *, ?Y)");
 }
 
 TEST(RuleParserTest, TextBetweenTemplatesIsAnError) {

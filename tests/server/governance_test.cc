@@ -253,11 +253,43 @@ TEST(GovernanceShedTest, PricingInternsNothing) {
   EXPECT_EQ(store.snapshot()->db().entities().size(), names);
 }
 
-// The walks are priced by the fan they walk, not at a full closure
-// scan (past the threshold here: 2 × 192² FEEDS facts): a short assoc,
-// near and dist run under DEGRADED; an assoc joining a hub's out-links
-// to a sink's in-links (300 × 300) is shed.
-TEST(GovernanceShedTest, WalksArePricedByTheirFan) {
+// A name the table does not hold is priced as unbound, not as matching
+// nothing: a fresh number under a comparator matches every smaller
+// numeric entity, so the poison chain joined to it is still shed.
+TEST(GovernanceShedTest, UnknownNamesArePricedAsUnbound) {
+  SharedStore store;
+  SeedCampus(&store);
+  SeedPoisonGraph(&store, /*layer=*/64);
+  SessionRegistry registry(&store);
+  GovernanceState governance;
+  governance.shed_cost_threshold = 1 << 16;
+  registry.set_governance(&governance);
+  auto session = registry.Create(8);
+  ASSERT_NE(session, nullptr);
+  governance.degraded.store(true);
+  const size_t names = store.snapshot()->db().entities().size();
+  // Should pricing let it through, a step cap ends the run, with
+  // another error than a shed.
+  QueryBudget budget(QueryBudget::Clock::time_point::max(),
+                     /*max_steps=*/50'000);
+  session->set_request_budget(&budget);
+  auto shed = session->Execute(std::string(kPoison) +
+                               " and (?N, <, 999999999)");
+  session->set_request_budget(nullptr);
+  ASSERT_FALSE(shed.ok());
+  EXPECT_NE(shed.status().ToString().find("shed"), std::string::npos)
+      << shed.status().ToString();
+  EXPECT_EQ(store.snapshot()->db().entities().size(), names);
+}
+
+// The walks are priced by the facts they scan, not at a full closure
+// scan (past the threshold here: 2 × 192² FEEDS facts). A short assoc,
+// near and dist run under DEGRADED, and so does an assoc from a hub to
+// a sink with nothing between them to walk (300 out-links, each a dead
+// end). An assoc whose second hop fans out (HUB feeds every HX and HY:
+// 384 + 2 × 192² facts) is shed, as are near and dist around that hub,
+// and a near whose radius reaches past the threshold.
+TEST(GovernanceShedTest, WalksArePricedByTheFactsTheyScan) {
   SharedStore store;
   SeedCampus(&store);
   SeedPoisonGraph(&store);
@@ -265,8 +297,13 @@ TEST(GovernanceShedTest, WalksArePricedByTheirFan) {
                   .Commit([](LooseDb& db) {
                     for (int i = 0; i < 300; ++i) {
                       const std::string n = std::to_string(i);
-                      db.Assert("HUB", "LINKS", "L" + n);
+                      db.Assert("SPOKES", "LINKS", "L" + n);
                       db.Assert("M" + n, "LINKS", "SINK");
+                    }
+                    for (int i = 0; i < 192; ++i) {
+                      const std::string n = std::to_string(i);
+                      db.Assert("HUB", "FEEDS", "HX" + n);
+                      db.Assert("HUB", "FEEDS", "HY" + n);
                     }
                     return Status::OK();
                   })
@@ -285,13 +322,18 @@ TEST(GovernanceShedTest, WalksArePricedByTheirFan) {
       << *cheap;
   EXPECT_TRUE(session->Execute("near TOM 2").ok());
   EXPECT_TRUE(session->Execute("dist TOM HARRY").ok());
+  auto spokes = session->Execute("assoc SPOKES SINK");
+  EXPECT_TRUE(spokes.ok()) << spokes.status().ToString();
   EXPECT_EQ(governance.cancelled_shed.load(), 0u);
 
-  auto hub = session->Execute("assoc HUB SINK");
-  ASSERT_FALSE(hub.ok());
-  EXPECT_NE(hub.status().ToString().find("shed"), std::string::npos)
-      << hub.status().ToString();
-  EXPECT_EQ(governance.cancelled_shed.load(), 1u);
+  for (const char* hub : {"assoc HUB HZ0", "near HUB 2", "dist HUB HZ0",
+                          "near TOM 40"}) {
+    auto shed = session->Execute(hub);
+    ASSERT_FALSE(shed.ok()) << hub;
+    EXPECT_NE(shed.status().ToString().find("shed"), std::string::npos)
+        << hub << ": " << shed.status().ToString();
+  }
+  EXPECT_EQ(governance.cancelled_shed.load(), 4u);
 }
 
 // ExecuteRequest is the governed-request sequence every front end runs

@@ -307,14 +307,16 @@ TEST_F(PersistenceTest, WalReplayHandlesRulesAndToggles) {
 }
 
 // Rule texts as snapshots and WAL rule records have always stored them
-// (SerializeRule), with spaced, keyword and '*'-holding names, recover
-// through the one grammar to the same rules and the same listing.
+// (SerializeRule), with spaced, keyword and '*'-holding names and a lone
+// '*' in a head, recover through the one grammar to the same rules and
+// the same listing, and the log after them replays too.
 TEST_F(PersistenceTest, StoredRuleTextsRecoverToTheSameListing) {
   const std::vector<std::string> texts = {
       "rule spaced: (?X, LIKES, GRAND OPERA) => (?X, IN, OPERA FAN)",
       "rule keywords: (?X, AND, ?Y), (WHERE, ?Y, EXISTS) => (?X, FORALL, OR)",
       "integrity starred: (?X, A*B, ?Y), (?Y, IN, **) => (?X, /=, ?Y) "
       "where ?X individual",
+      "rule linked: (?X, LINKS, ?Y) => (?X, *, ?Y)",
   };
   // The same rules, built without a parser.
   FactStore store;
@@ -346,6 +348,13 @@ TEST_F(PersistenceTest, StoredRuleTextsRecoverToTheSameListing) {
         .Head(x, e("/="), y);
     built.push_back(std::move(b).Build());
   }
+  {
+    RuleBuilder b("linked");
+    const Term x = b.Var("X");
+    const Term y = b.Var("Y");
+    b.Body(x, e("LINKS"), y).Head(x, e("*"), y);
+    built.push_back(std::move(b).Build());
+  }
   for (size_t i = 0; i < texts.size(); ++i) {
     ASSERT_EQ(SerializeRule(built[i], names), texts[i]);
   }
@@ -355,6 +364,8 @@ TEST_F(PersistenceTest, StoredRuleTextsRecoverToTheSameListing) {
     records.push_back(
         WalRecord{static_cast<uint8_t>(WalOpCode::kRule), {text}});
   }
+  records.push_back(WalRecord{static_cast<uint8_t>(WalOpCode::kAssert),
+                              {"NODE1", "LINKS", "NODE2"}});
   {
     Wal wal;
     ASSERT_TRUE(wal.Open(Path("compat.wal")).ok());
@@ -364,7 +375,14 @@ TEST_F(PersistenceTest, StoredRuleTextsRecoverToTheSameListing) {
 
   FactStore replayed;
   std::vector<Rule> from_wal;
-  ASSERT_TRUE(Wal::Replay(Path("compat.wal"), &replayed, &from_wal).ok());
+  RecoveryStats stats;
+  ASSERT_TRUE(
+      Wal::Replay(Path("compat.wal"), &replayed, &from_wal, &stats).ok());
+  EXPECT_FALSE(stats.tail_truncated) << stats.ToString();
+  EXPECT_EQ(stats.records_replayed, records.size());
+  const auto linked = replayed.entities().LookupFact("NODE1", "LINKS", "NODE2");
+  ASSERT_TRUE(linked.has_value());
+  EXPECT_TRUE(replayed.Contains(*linked));
   FactStore loaded;
   std::vector<Rule> from_snapshot;
   ASSERT_TRUE(
